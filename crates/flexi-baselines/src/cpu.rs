@@ -7,11 +7,9 @@
 
 use flexi_core::energy::{CPU_LOAD_WATTS, CPU_OOC_WATTS};
 use flexi_core::{
-    CompiledWalker, DynamicWalk, EngineError, RunReport, SamplerTally, WalkEngine, WalkRequest,
-    WalkState,
+    CompiledWalker, EngineError, RunReport, SamplerTally, WalkEngine, WalkRequest, WalkState,
 };
 use flexi_gpu_sim::CostStats;
-use flexi_graph::Csr;
 use flexi_rng::Xoshiro256pp;
 use flexi_sampling::ids;
 use flexi_sampling::scalar::{exact_max, sample_its, sample_rejection, ScalarCost};
@@ -141,7 +139,7 @@ fn cpu_run(
             }
             let picked = match sampler {
                 CpuSampler::Its => {
-                    materialize(&mut weights_buf, g, w, &st);
+                    w.fill_row(g, &st, range.clone(), &mut weights_buf);
                     total.weight_evals += deg as u64;
                     let (p, c) = sample_its(&weights_buf, &mut rng);
                     total.add(&c);
@@ -158,7 +156,7 @@ fn cpu_run(
                     p
                 }
                 CpuSampler::RjsExactMax => {
-                    materialize(&mut weights_buf, g, w, &st);
+                    w.fill_row(g, &st, range.clone(), &mut weights_buf);
                     total.weight_evals += deg as u64;
                     let (mx, c1) = exact_max(&weights_buf);
                     total.add(&c1);
@@ -223,12 +221,6 @@ fn cpu_run(
         shards: None,
         blocks: None,
     })
-}
-
-fn materialize(buf: &mut Vec<f32>, g: &Csr, w: &dyn DynamicWalk, st: &WalkState) {
-    let range = g.edge_range(st.cur);
-    buf.clear();
-    buf.extend(range.map(|e| w.weight(g, st, e)));
 }
 
 /// Out-of-core I/O penalty model for SOWalker.
@@ -350,8 +342,8 @@ impl WalkEngine for KnightKingCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexi_core::{MetaPath, Node2Vec, SecondOrderPr, WalkConfig};
-    use flexi_graph::{gen, props, CsrBuilder, NodeId, WeightModel};
+    use flexi_core::{DynamicWalk, MetaPath, Node2Vec, SecondOrderPr, WalkConfig};
+    use flexi_graph::{gen, props, Csr, CsrBuilder, NodeId, WeightModel};
     use flexi_sampling::stat;
 
     fn graph() -> Csr {

@@ -45,6 +45,10 @@ pub const DEFAULT_TIME_BUDGET: f64 = 12.0 * 3600.0;
 /// Seed salt separating per-query streams from per-lane warp streams.
 const QUERY_STREAM_SALT: u64 = 0x51E5_7A1C_0FFE_E75D;
 
+/// The one seed every §5.1 profile runs under (its result does not depend
+/// on the seed; see [`FlexiWalkerEngine::profile_for`]).
+const PROFILE_SEED: u64 = 0x5EED;
+
 /// Run configuration shared by every engine.
 #[derive(Clone, Debug)]
 pub struct WalkConfig {
@@ -654,19 +658,26 @@ impl FlexiWalkerEngine {
     }
 
     /// Runs the §5.1 profiling kernels, unless disabled on this engine.
-    pub fn profile_for(&self, g: &Csr, w: &dyn DynamicWalk, seed: u64) -> Option<ProfileResult> {
+    ///
+    /// The profile charges access *counts*, never drawn values, so it is a
+    /// function of the graph and the bytes per weight alone: it always runs
+    /// under one internal seed, and `_seed` (kept for source
+    /// compatibility) is ignored. That is what lets a session key cached
+    /// profiles without the request seed.
+    pub fn profile_for(&self, g: &Csr, w: &dyn DynamicWalk, _seed: u64) -> Option<ProfileResult> {
         if self.skip_profile || self.cost_ratio_override.is_some() {
             None
         } else {
             let device = Device::new(self.spec.clone());
-            Some(run_profile(&device, g, w.bytes_per_weight(g), seed))
+            Some(run_profile(&device, g, w.bytes_per_weight(g), PROFILE_SEED))
         }
     }
 
     /// Full preparation pass over a lowered walker: reuse its compiled
     /// artifacts, then preprocess + profile. The result is reusable across
     /// every run over the same `(graph, walker)` pair — the session API
-    /// caches each piece independently.
+    /// caches each piece independently. `seed` is unused, as in
+    /// [`FlexiWalkerEngine::profile_for`].
     pub fn prepare(&self, g: &Csr, walker: &CompiledWalker, seed: u64) -> PreparedState {
         let artifacts = walker.artifacts().clone();
         let aggregates = Arc::new(self.aggregates_for(g, &artifacts));
@@ -1060,11 +1071,9 @@ impl SamplerStateMaintainer {
     fn node_state(&self, g: &Csr, v: NodeId) -> Option<NodeState> {
         // Eligibility (CompiledWalker::static_weights) guarantees the
         // weight ignores everything in the start state but the edge.
-        let st = WalkState::start(v);
-        let weights: Vec<f32> = g
-            .edge_range(v)
-            .map(|e| self.walk.weight(g, &st, e))
-            .collect();
+        let mut weights = Vec::new();
+        self.walk
+            .fill_row(g, &WalkState::start(v), g.edge_range(v), &mut weights);
         self.sampler.build_node_state(&weights)
     }
 }
@@ -1134,6 +1143,9 @@ fn walk_warp(
     // each refill, pruned after retire/select, so the per-phase loops
     // visit only live work instead of scanning all `WARP_SIZE` slots.
     let mut active: Vec<usize> = Vec::with_capacity(WARP_SIZE);
+    // One weight row per warp, refilled by every warp-granular step and
+    // exact max reduction, so the hot loop allocates nothing per step.
+    let mut row: Vec<f32> = Vec::new();
 
     // PER_KERNEL estimators are state-independent (§4.2 flag semantics):
     // evaluate the (max, sum) pair once and let every step's cost-model
@@ -1245,6 +1257,7 @@ fn walk_warp(
                     lanes.row_start[l],
                     lanes.row_len[l],
                     bytes_per_weight,
+                    &mut row,
                 )
             } else {
                 None
@@ -1285,17 +1298,18 @@ fn walk_warp(
                 let dummy = [0u32; WARP_SIZE];
                 ctx.shfl(&dummy, l); // Broadcast target node.
                 ctx.shfl(&dummy, l); // Broadcast step/query id.
-                ctx.bind_stream(lanes.rng[l].clone());
-                let picked = with_row_view(
+                fill_masked_row(
+                    &mut row,
                     g,
                     w,
                     kc.mask,
                     &state,
                     lanes.row_start[l],
                     lanes.row_len[l],
-                    bytes_per_weight,
-                    |view| sampler.sample_warp(ctx, view),
                 );
+                ctx.bind_stream(lanes.rng[l].clone());
+                let picked =
+                    sampler.sample_warp(ctx, &NeighborView::from_row(&row, bytes_per_weight));
                 lanes.rng[l] = ctx.unbind_stream();
                 out.tallies[idx] += 1;
                 advance_lane(&mut lanes, l, picked, g, kc.record_paths, &mut out);
@@ -1305,13 +1319,48 @@ fn walk_warp(
     out
 }
 
-/// Builds the lane's [`NeighborView`] with the time-mask branch resolved
-/// **once** — outside the per-edge weight loop — and hands it to `body`.
+/// Replaces `row` with the lane's transition weights, masked edges zeroed.
+/// Every warp-granular step reads its weights from here — scan kernels
+/// touch the whole row anyway, so an unmasked row is one
+/// [`DynamicWalk::fill_row`] pass that lets a walker share work across
+/// edges (second-order walkers intersect two sorted rows instead of
+/// binary-searching per edge). Under a time window the row is filled edge
+/// by edge instead, so edges the mask hides are never evaluated — a
+/// window typically hides a large share of a row, and the temporal
+/// walkers' decay is the costly part of their weight.
+fn fill_masked_row(
+    row: &mut Vec<f32>,
+    g: &Csr,
+    w: &dyn DynamicWalk,
+    mask: Option<&flexi_graph::TimeMask>,
+    state: &WalkState,
+    row_start: EdgeId,
+    row_len: usize,
+) {
+    let range = row_start..row_start + row_len;
+    match mask {
+        None => w.fill_row(g, state, range, row),
+        Some(m) => {
+            row.clear();
+            row.extend(range.map(|e| {
+                if m.admits(e) {
+                    w.weight(g, state, e)
+                } else {
+                    0.0
+                }
+            }));
+        }
+    }
+}
+
+/// Builds the lane's lazy [`NeighborView`] — for thread-granular
+/// rejection, whose point is to evaluate only the edges it probes — with
+/// the time-mask branch resolved **once**, outside the per-edge weight
+/// loop, and hands it to `body`.
 ///
 /// The masked and unmasked arms use distinct closures, so an unwindowed
-/// walk (the common case) pays no per-edge `Option` check at all; the
-/// windowed arm hoists the mask reference out of the loop. Both produce
-/// exactly the weights [`WarpKernelCfg::masked_weight`] would.
+/// walk (the common case) pays no per-edge `Option` check at all. Both
+/// produce exactly the weights [`fill_masked_row`] would.
 #[allow(clippy::too_many_arguments)]
 fn with_row_view<R>(
     g: &Csr,
@@ -1457,7 +1506,8 @@ fn select_sampler(
 
 /// The eRJS upper bound for the lane's current node (§3.3). `row_start`,
 /// `row_len` and `bytes_per_weight` are the kernel's hoisted invariants,
-/// reused by the no-estimator fallback's exact max reduction.
+/// reused by the no-estimator fallback's exact max reduction, which reads
+/// the warp's scratch `row`.
 #[allow(clippy::too_many_arguments)]
 fn rjs_bound(
     ctx: &mut WarpCtx,
@@ -1469,6 +1519,7 @@ fn rjs_bound(
     row_start: EdgeId,
     row_len: usize,
     bytes_per_weight: usize,
+    row: &mut Vec<f32>,
 ) -> Option<f32> {
     // Float-safety headroom: the estimator math is f64 while kernel weights
     // are f32; a hair of slack keeps "bound >= max" airtight.
@@ -1496,16 +1547,8 @@ fn rjs_bound(
     // No estimator: pay the exact max reduction (NextDoor's cost). Masked
     // edges weigh 0 in the kernel, so the reduction can mask them too and
     // stay a tight, sound bound.
-    let m = with_row_view(
-        g,
-        w,
-        kc.mask,
-        state,
-        row_start,
-        row_len,
-        bytes_per_weight,
-        |view| warp_max_reduce(ctx, view),
-    );
+    fill_masked_row(row, g, w, kc.mask, state, row_start, row_len);
+    let m = warp_max_reduce(ctx, &NeighborView::from_row(row, bytes_per_weight));
     (m > 0.0).then_some(m)
 }
 
@@ -1541,6 +1584,131 @@ mod tests {
             engine,
             &WalkRequest::new(g.clone(), w, queries).with_config(c.clone()),
         )
+    }
+
+    #[test]
+    fn filled_rows_are_bit_identical_to_per_edge_weights() {
+        // Every built-in walker, native and DSL twin, on rmat rows: the
+        // filled (and masked) row must equal lazy per-edge evaluation bit
+        // for bit — warp-granular steps read the one, rejection the other.
+        let g = props::assign_uniform_labels(small_graph(), 5, 3);
+        let times: Vec<u64> = (0..g.num_edges() as u64).map(|e| e * 37 % 100).collect();
+        let g = g.with_times(times).unwrap();
+        let n = g.num_nodes() as NodeId;
+        let hub = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
+        let sink = (0..n)
+            .find(|&v| g.degree(v) == 0)
+            .expect("rmat leaves sinks");
+        // The cases the intersection must get right are present: a hub
+        // long enough for the binary-search branch, and duplicate targets.
+        let thin = (0..n)
+            .filter(|&v| g.degree(v) > 0)
+            .min_by_key(|&v| g.degree(v));
+        assert!(g.degree(hub) > 2 * g.degree(thin.unwrap()));
+        assert!((0..n).any(|v| g.neighbors(v).windows(2).any(|p| p[0] == p[1])));
+        let mask = flexi_graph::TimeMask::compute(&g, TimeWindow::new(20, 70));
+
+        let walkers: Vec<CompiledWalker> =
+            [WalkerRegistry::builtin(), WalkerRegistry::builtin_dsl()]
+                .iter()
+                .flat_map(|r| r.iter().map(|d| d.lower().unwrap()).collect::<Vec<_>>())
+                .collect();
+        let mut row = Vec::new();
+        for cw in &walkers {
+            let w = cw.walk_dyn();
+            for cur in (0..n).step_by(7).chain([hub]).filter(|&v| g.degree(v) > 0) {
+                let range = g.edge_range(cur);
+                let first_target = g.edge_target(range.start);
+                let prevs = [None, Some(hub), Some(sink), Some(first_target), Some(cur)];
+                for (prev, step, mask) in prevs
+                    .into_iter()
+                    .flat_map(|p| [(p, 1, None), (p, 2, Some(&mask))])
+                {
+                    let st = WalkState {
+                        cur,
+                        prev,
+                        step,
+                        time: 30,
+                    };
+                    fill_masked_row(&mut row, &g, w, mask, &st, range.start, range.len());
+                    let filled: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                    let lazy: Vec<u32> =
+                        with_row_view(&g, w, mask, &st, range.start, range.len(), 8, |v| {
+                            (0..v.deg).map(|i| v.weight(i).to_bits()).collect()
+                        });
+                    assert_eq!(
+                        filled,
+                        lazy,
+                        "{}: cur {cur} prev {prev:?} masked {}",
+                        cw.name(),
+                        mask.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejection_stays_lazy_and_scans_fill_one_row_per_step() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Property weights, counting how the engine asks for them.
+        #[derive(Default)]
+        struct Counting {
+            weights: AtomicU64,
+            fills: AtomicU64,
+        }
+        impl DynamicWalk for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn weight(&self, g: &Csr, _st: &WalkState, edge: EdgeId) -> f32 {
+                self.weights.fetch_add(1, Ordering::Relaxed);
+                g.prop(edge)
+            }
+            fn fill_row(
+                &self,
+                g: &Csr,
+                _st: &WalkState,
+                range: std::ops::Range<EdgeId>,
+                out: &mut Vec<f32>,
+            ) {
+                self.fills.fetch_add(1, Ordering::Relaxed);
+                out.clear();
+                out.extend(range.map(|e| g.prop(e)));
+            }
+            fn spec(&self) -> flexi_compiler::WalkSpec {
+                UniformWalk.spec()
+            }
+        }
+        const DEG: usize = 1024;
+        let mut b = CsrBuilder::new(64);
+        for v in 0..64u32 {
+            for k in 0..DEG as u32 {
+                b.push_weighted(v, (v + k) % 64, 1.0 + (k % 4) as f32);
+            }
+        }
+        let g = b.build().unwrap();
+        let queries: Vec<NodeId> = (0..32u32).collect();
+        for strategy in [SelectionStrategy::RJS_ONLY, SelectionStrategy::RVS_ONLY] {
+            let walk = Arc::new(Counting::default());
+            let handle: Arc<dyn DynamicWalk> = walk.clone();
+            let engine = FlexiWalkerEngine::with_strategy(DeviceSpec::tiny(), strategy);
+            let report = run(&engine, &g, handle, &queries, &cfg(5)).unwrap();
+            let steps = report.steps_taken;
+            assert_eq!(steps, 32 * 5, "{strategy:?}: no dead ends on positive rows");
+            let weights = walk.weights.load(Ordering::Relaxed);
+            let fills = walk.fills.load(Ordering::Relaxed);
+            if strategy == SelectionStrategy::RJS_ONLY {
+                assert_eq!(fills, 0, "eRJS must not fill rows");
+                assert!(
+                    weights < steps * DEG as u64 / 4,
+                    "eRJS evaluated {weights} weights over {steps} steps"
+                );
+            } else {
+                assert_eq!(fills, steps, "eRVS fills exactly one row per step");
+                assert_eq!(weights, 0, "eRVS reads only the filled row");
+            }
+        }
     }
 
     #[test]
@@ -1896,14 +2064,14 @@ mod tests {
                 // Exact linear-CDF sample, charged as one coalesced pass.
                 ctx.read_coalesced(view.deg * view.bytes_per_weight);
                 let total: f64 = (0..view.deg)
-                    .map(|i| f64::from((view.weight)(i).max(0.0)))
+                    .map(|i| f64::from(view.weight(i).max(0.0)))
                     .sum();
                 if total <= 0.0 {
                     return None;
                 }
                 let mut target = ctx.draw_f64(0) * total;
                 for i in 0..view.deg {
-                    let wi = f64::from((view.weight)(i).max(0.0));
+                    let wi = f64::from(view.weight(i).max(0.0));
                     if wi <= 0.0 {
                         continue;
                     }
@@ -1912,7 +2080,7 @@ mod tests {
                         return Some(i);
                     }
                 }
-                (0..view.deg).rev().find(|&i| (view.weight)(i) > 0.0)
+                (0..view.deg).rev().find(|&i| view.weight(i) > 0.0)
             }
             fn sample_scalar(
                 &self,
@@ -2052,19 +2220,19 @@ mod tests {
             fn sample_warp(&self, ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Option<usize> {
                 ctx.read_coalesced(view.deg * view.bytes_per_weight);
                 let total: f64 = (0..view.deg)
-                    .map(|i| f64::from((view.weight)(i).max(0.0)))
+                    .map(|i| f64::from(view.weight(i).max(0.0)))
                     .sum();
                 if total <= 0.0 {
                     return None;
                 }
                 let mut target = ctx.draw_f64(0) * total;
                 for i in 0..view.deg {
-                    target -= f64::from((view.weight)(i).max(0.0));
-                    if target <= 0.0 && (view.weight)(i) > 0.0 {
+                    target -= f64::from(view.weight(i).max(0.0));
+                    if target <= 0.0 && view.weight(i) > 0.0 {
                         return Some(i);
                     }
                 }
-                (0..view.deg).rev().find(|&i| (view.weight)(i) > 0.0)
+                (0..view.deg).rev().find(|&i| view.weight(i) > 0.0)
             }
             fn sample_scalar(
                 &self,

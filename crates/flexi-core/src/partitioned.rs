@@ -111,8 +111,7 @@ impl WalkEngine for PartitionedEngine {
                 let owner = self.owner(st.cur);
                 // The owning device scans the partition-resident adjacency
                 // (eRVS access pattern) and reduces.
-                weights.clear();
-                weights.extend(range.clone().map(|e| w.weight(g, &st, e)));
+                w.fill_row(g, &st, range.clone(), &mut weights);
                 let stats = &mut device_stats[owner];
                 stats.coalesced_transactions += ((weights.len() * bytes_per_weight)
                     .div_ceil(self.spec.transaction_bytes))

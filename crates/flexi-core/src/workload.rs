@@ -13,6 +13,7 @@
 
 use flexi_compiler::{workloads as dsl, WalkSpec};
 use flexi_graph::{Csr, EdgeId, NodeId};
+use std::ops::Range;
 
 /// Per-walker state a dynamic walk's weight function may consult.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,6 +80,21 @@ pub trait DynamicWalk: Send + Sync {
     /// `edge` is a global edge id inside `g.edge_range(st.cur)`.
     fn weight(&self, g: &Csr, st: &WalkState, edge: EdgeId) -> f32;
 
+    /// Replaces `out` with the weights of every edge in `range` (a
+    /// sub-range of `g.edge_range(st.cur)`), in edge order.
+    ///
+    /// The engine calls this once per warp-granular sampling step instead
+    /// of [`DynamicWalk::weight`] once per edge. The default loops
+    /// `weight`; an override may share work across the row (one sorted
+    /// merge instead of a membership search per edge) but must produce
+    /// **bit-identical** values — the same f32 operations in the same
+    /// order — because lane-granular samplers still call `weight` on the
+    /// same edges and a walk switches between the two per step.
+    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(range.map(|e| self.weight(g, st, e)));
+    }
+
     /// DRAM bytes one weight evaluation touches (drives the simulator's
     /// transaction accounting).
     fn bytes_per_weight(&self, g: &Csr) -> usize {
@@ -133,6 +149,31 @@ impl Node2Vec {
             weighted,
         }
     }
+
+    /// Eq. 2 for one out-edge of the current node; `linked(prev, post)`
+    /// answers `dist(prev, post) == 1` and is asked only when `post` is
+    /// neither the first-step case nor `prev` itself.
+    #[inline]
+    fn eq2(
+        &self,
+        g: &Csr,
+        edge: EdgeId,
+        prev: Option<NodeId>,
+        linked: impl FnOnce(NodeId, NodeId) -> bool,
+    ) -> f32 {
+        let h = if self.weighted { g.prop(edge) } else { 1.0 };
+        let Some(prev) = prev else {
+            return h; // First step: no history, behave statically.
+        };
+        let post = g.edge_target(edge);
+        if post == prev {
+            h / self.a
+        } else if linked(prev, post) {
+            h
+        } else {
+            h / self.b
+        }
+    }
 }
 
 impl DynamicWalk for Node2Vec {
@@ -145,18 +186,13 @@ impl DynamicWalk for Node2Vec {
     }
 
     fn weight(&self, g: &Csr, st: &WalkState, edge: EdgeId) -> f32 {
-        let h = if self.weighted { g.prop(edge) } else { 1.0 };
-        let Some(prev) = st.prev else {
-            return h; // First step: no history, behave statically.
-        };
-        let post = g.edge_target(edge);
-        if post == prev {
-            h / self.a
-        } else if g.has_edge(prev, post) {
-            h
-        } else {
-            h / self.b
-        }
+        self.eq2(g, edge, st.prev, |prev, post| g.has_edge(prev, post))
+    }
+
+    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, out: &mut Vec<f32>) {
+        let mut linked = SortedProbe::new(st.prev.map_or(&[][..], |p| g.neighbors(p)), range.len());
+        out.clear();
+        out.extend(range.map(|e| self.eq2(g, e, st.prev, |_, post| linked.contains(post))));
     }
 
     fn bytes_per_weight(&self, g: &Csr) -> usize {
@@ -285,6 +321,19 @@ impl SecondOrderPr {
     pub fn paper() -> Self {
         Self { gamma: 0.2 }
     }
+
+    /// Eq. 3's `(linked, unlinked)` bias for a step `prev → cur`: the
+    /// degree terms are per row, so a row fill computes them once.
+    #[inline]
+    fn eq3_biases(&self, g: &Csr, cur: NodeId, prev: NodeId) -> (f32, f32) {
+        let d_cur = g.degree(cur).max(1) as f32;
+        let d_prev = g.degree(prev).max(1) as f32;
+        let maxd = d_cur.max(d_prev);
+        (
+            ((1.0 - self.gamma) / d_cur + self.gamma / d_prev) * maxd,
+            ((1.0 - self.gamma) / d_cur) * maxd,
+        )
+    }
 }
 
 impl DynamicWalk for SecondOrderPr {
@@ -297,16 +346,31 @@ impl DynamicWalk for SecondOrderPr {
         let Some(prev) = st.prev else {
             return h;
         };
-        let d_cur = g.degree(st.cur).max(1) as f32;
-        let d_prev = g.degree(prev).max(1) as f32;
-        let maxd = d_cur.max(d_prev);
-        let post = g.edge_target(edge);
-        let w = if g.has_edge(prev, post) {
-            ((1.0 - self.gamma) / d_cur + self.gamma / d_prev) * maxd
+        let (linked, unlinked) = self.eq3_biases(g, st.cur, prev);
+        let w = if g.has_edge(prev, g.edge_target(edge)) {
+            linked
         } else {
-            ((1.0 - self.gamma) / d_cur) * maxd
+            unlinked
         };
         w * h
+    }
+
+    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, out: &mut Vec<f32>) {
+        out.clear();
+        let Some(prev) = st.prev else {
+            out.extend(range.map(|e| g.prop(e)));
+            return;
+        };
+        let (linked_w, unlinked_w) = self.eq3_biases(g, st.cur, prev);
+        let mut linked = SortedProbe::new(g.neighbors(prev), range.len());
+        out.extend(range.map(|e| {
+            let w = if linked.contains(g.edge_target(e)) {
+                linked_w
+            } else {
+                unlinked_w
+            };
+            w * g.prop(e)
+        }));
     }
 
     fn bytes_per_weight(&self, g: &Csr) -> usize {
@@ -321,6 +385,48 @@ impl DynamicWalk for SecondOrderPr {
 
     fn hyperparam(&self, name: &str) -> Option<f64> {
         (name == "gamma").then_some(f64::from(self.gamma))
+    }
+}
+
+/// Answers `row.contains(t)` for a **non-decreasing** sequence of queries
+/// `t` against the sorted `row` — how a second-order walker intersects
+/// `cur`'s sorted targets with `prev`'s row, instead of binary-searching
+/// all of `prev`'s row once per edge.
+///
+/// Rows of similar length are merged: the cursor only moves forward, so a
+/// whole row of `queries` targets costs O(d_cur + d_prev). When `row` is
+/// more than twice as long as the number of queries (a hub `prev`), each
+/// query binary-searches it instead: independent searches overlap in the
+/// CPU where a merge would step through mostly unasked-for entries. Duplicates on either side are
+/// fine: the cursor stops at the first entry `≥ t`.
+struct SortedProbe<'a> {
+    row: &'a [NodeId],
+    /// Binary-search each query instead of stepping the cursor.
+    sparse: bool,
+    /// Every `row[..pos]` is below the last query.
+    pos: usize,
+}
+
+impl<'a> SortedProbe<'a> {
+    /// A probe for up to `queries` queries.
+    fn new(row: &'a [NodeId], queries: usize) -> Self {
+        Self {
+            row,
+            sparse: row.len() > 2 * queries,
+            pos: 0,
+        }
+    }
+
+    #[inline]
+    fn contains(&mut self, t: NodeId) -> bool {
+        let row = self.row;
+        if self.sparse {
+            return row.binary_search(&t).is_ok();
+        }
+        while self.pos < row.len() && row[self.pos] < t {
+            self.pos += 1;
+        }
+        row.get(self.pos) == Some(&t)
     }
 }
 

@@ -18,33 +18,57 @@ use flexi_gpu_sim::{WarpCtx, WARP_SIZE};
 
 /// A warp's view of the current node's neighbor transition weights.
 ///
-/// `weight(i)` lazily evaluates the *dynamic* transition weight
+/// [`NeighborView::weight`]`(i)` is the *dynamic* transition weight
 /// `w̃(v, uᵢ) = w(v, uᵢ) · h(v, uᵢ)` of the `i`-th neighbor;
 /// `bytes_per_weight` is the DRAM traffic one evaluation touches
 /// (adjacency entry + property weight, and for second-order workloads the
-/// `dist(v', uᵢ)` probe).
+/// `dist(v', uᵢ)` probe). The weights come either from a lazy evaluator
+/// ([`NeighborView::new`]: rejection probes touch only the edges they
+/// draw) or from a row filled in one pass ([`NeighborView::from_row`]:
+/// scan kernels index it directly). Both forms charge the same simulated
+/// traffic — the kernels charge explicitly, never per call. The two
+/// kernels the runtime picks almost every step (eRVS, rejection) resolve
+/// the form once per call instead of once per weight, keeping the branch
+/// out of their per-edge and per-trial loops.
 pub struct NeighborView<'a> {
-    /// Lazy transition-weight evaluator.
-    pub weight: &'a dyn Fn(usize) -> f32,
+    weights: Weights<'a>,
     /// Number of neighbors.
     pub deg: usize,
     /// DRAM bytes touched per single-neighbor weight evaluation.
     pub bytes_per_weight: usize,
 }
 
+enum Weights<'a> {
+    Lazy(&'a dyn Fn(usize) -> f32),
+    Row(&'a [f32]),
+}
+
 impl<'a> NeighborView<'a> {
-    /// Convenience constructor.
+    /// A view evaluating `weight(i)` on demand.
     pub fn new(weight: &'a dyn Fn(usize) -> f32, deg: usize, bytes_per_weight: usize) -> Self {
         Self {
-            weight,
+            weights: Weights::Lazy(weight),
             deg,
             bytes_per_weight,
         }
     }
 
+    /// A view over an already-computed weight row (`deg = row.len()`).
+    pub fn from_row(row: &'a [f32], bytes_per_weight: usize) -> Self {
+        Self {
+            weights: Weights::Row(row),
+            deg: row.len(),
+            bytes_per_weight,
+        }
+    }
+
+    /// The transition weight of neighbor `i < deg`.
     #[inline]
-    fn eval(&self, i: usize) -> f32 {
-        (self.weight)(i)
+    pub fn weight(&self, i: usize) -> f32 {
+        match self.weights {
+            Weights::Lazy(f) => f(i),
+            Weights::Row(row) => row[i],
+        }
     }
 }
 
@@ -80,7 +104,7 @@ pub fn warp_its(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Option<usize> {
         for lane in 0..WARP_SIZE {
             let i = c * WARP_SIZE + lane;
             if i < n {
-                vals[lane] = view.eval(i).max(0.0);
+                vals[lane] = view.weight(i).max(0.0);
             }
         }
         let ps = ctx.prefix_sum_f32(&vals);
@@ -116,11 +140,11 @@ pub fn warp_its(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Option<usize> {
         }
     }
     let mut i = lo;
-    while i < n && view.eval(i) <= 0.0 {
+    while i < n && view.weight(i) <= 0.0 {
         i += 1;
     }
     if i == n {
-        i = (0..n).rev().find(|&j| view.eval(j) > 0.0)?;
+        i = (0..n).rev().find(|&j| view.weight(j) > 0.0)?;
     }
     Some(i)
 }
@@ -136,7 +160,7 @@ pub fn warp_alias(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Option<usize> {
         return None;
     }
     charge_weight_pass(ctx, view, n);
-    let weights: Vec<f32> = (0..n).map(|i| view.eval(i)).collect();
+    let weights: Vec<f32> = (0..n).map(|i| view.weight(i)).collect();
     // Mean reduction (per-chunk butterfly).
     let chunks = n.div_ceil(WARP_SIZE) as u64;
     for _ in 0..chunks {
@@ -178,6 +202,20 @@ pub fn lane_rejection(
     view: &NeighborView<'_>,
     bound: f32,
 ) -> (Option<usize>, u32) {
+    match view.weights {
+        Weights::Lazy(f) => rejection_trials(ctx, lane, view, bound, f),
+        Weights::Row(row) => rejection_trials(ctx, lane, view, bound, |i| row[i]),
+    }
+}
+
+/// [`lane_rejection`] over a resolved weight source.
+fn rejection_trials(
+    ctx: &mut WarpCtx,
+    lane: usize,
+    view: &NeighborView<'_>,
+    bound: f32,
+    weight: impl Fn(usize) -> f32,
+) -> (Option<usize>, u32) {
     let n = view.deg;
     // NaN-rejecting guard: `!(bound > 0)` is false for any positive bound
     // and true for zero, negatives and NaN.
@@ -194,7 +232,7 @@ pub fn lane_rejection(
         ctx.read_random(4);
         ctx.read_random(view.bytes_per_weight.saturating_sub(4).max(4));
         ctx.alu(2);
-        let w = view.eval(x);
+        let w = weight(x);
         if w > 0.0 && y <= w {
             return (Some(x), trial);
         }
@@ -202,7 +240,7 @@ pub fn lane_rejection(
     // Exact fallback: one coalesced pass + linear CDF with lane RNG.
     charge_weight_pass(ctx, view, n);
     ctx.alu(n as u64);
-    let weights: Vec<f32> = (0..n).map(|i| view.eval(i)).collect();
+    let weights: Vec<f32> = (0..n).map(&weight).collect();
     let total: f64 = weights.iter().map(|&w| f64::from(w)).sum();
     if total <= 0.0 {
         return (None, MAX_REJECTION_TRIALS);
@@ -236,7 +274,7 @@ pub fn warp_max_reduce(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> f32 {
         for lane in 0..WARP_SIZE {
             let i = c * WARP_SIZE + lane;
             if i < n {
-                vals[lane] = view.eval(i);
+                vals[lane] = view.weight(i);
             }
         }
         max = max.max(ctx.reduce_max_f32(&vals));
@@ -268,7 +306,7 @@ pub fn warp_max_reduce_scattered(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> 
                 // Same two-array gather as a rejection probe, per edge.
                 ctx.read_random(4);
                 ctx.read_random(view.bytes_per_weight.saturating_sub(4).max(4));
-                vals[lane] = view.eval(i);
+                vals[lane] = view.weight(i);
             }
         }
         max = max.max(ctx.reduce_max_f32(&vals));
@@ -300,7 +338,7 @@ pub fn warp_reservoir_prefix(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Opti
         for lane in 0..WARP_SIZE {
             let i = c * WARP_SIZE + lane;
             if i < n {
-                vals[lane] = view.eval(i).max(0.0);
+                vals[lane] = view.weight(i).max(0.0);
             }
         }
         let ps = ctx.prefix_sum_f32(&vals);
@@ -345,6 +383,19 @@ pub enum ErvsMode {
 /// its stripe (thresholds seeded from `k_g`, truncated redraws on record
 /// updates), and a final argmax reduction picks the winner.
 pub fn warp_ervs(ctx: &mut WarpCtx, view: &NeighborView<'_>, mode: ErvsMode) -> Option<usize> {
+    match view.weights {
+        Weights::Lazy(f) => ervs(ctx, view, mode, f),
+        Weights::Row(row) => ervs(ctx, view, mode, |i| row[i]),
+    }
+}
+
+/// [`warp_ervs`] over a resolved weight source.
+fn ervs(
+    ctx: &mut WarpCtx,
+    view: &NeighborView<'_>,
+    mode: ErvsMode,
+    weight: impl Fn(usize) -> f32,
+) -> Option<usize> {
     let n = view.deg;
     if n == 0 {
         return None;
@@ -358,7 +409,7 @@ pub fn warp_ervs(ctx: &mut WarpCtx, view: &NeighborView<'_>, mode: ErvsMode) -> 
     let active = n.min(WARP_SIZE);
     let mut keys32 = [f32::NEG_INFINITY; WARP_SIZE];
     for lane in 0..active {
-        let w = view.eval(lane);
+        let w = weight(lane);
         if w > 0.0 {
             let u = open01_lane(ctx, lane);
             let k = u.powf(1.0 / f64::from(w));
@@ -370,12 +421,41 @@ pub fn warp_ervs(ctx: &mut WarpCtx, view: &NeighborView<'_>, mode: ErvsMode) -> 
     let (_, kg32) = ctx.reduce_argmax_f32(&keys32);
     let k_g = f64::from(kg32);
 
+    // The jump needs a live key to seed its thresholds from. When the first
+    // stripe is all dead (a masked or label-mismatched prefix), the rest of
+    // the row is keyed one by one instead, exactly as `Exp` does.
     match mode {
-        ErvsMode::Exp => {
+        ErvsMode::ExpJump if k_g > f64::NEG_INFINITY => {
+            // Per-lane A-ExpJ over the stripe, seeded at the global max.
+            for lane in 0..active {
+                let mut k_cur = k_g;
+                let mut x_w = open01_lane(ctx, lane).ln() / k_cur.ln();
+                let mut i = lane + WARP_SIZE;
+                while i < n {
+                    let w = f64::from(weight(i).max(0.0));
+                    ctx.alu(1);
+                    if w > 0.0 {
+                        if x_w <= w {
+                            // Record update with a truncated redraw.
+                            let t = k_cur.powf(w);
+                            let u2 = t + (1.0 - t) * open01_lane(ctx, lane);
+                            k_cur = u2.powf(1.0 / w);
+                            lane_key[lane] = k_cur;
+                            lane_best[lane] = i;
+                            x_w = open01_lane(ctx, lane).ln() / k_cur.ln();
+                        } else {
+                            x_w -= w;
+                        }
+                    }
+                    i += WARP_SIZE;
+                }
+            }
+        }
+        ErvsMode::Exp | ErvsMode::ExpJump => {
             // Every remaining neighbor gets a key; lanes keep local maxima.
             for i in WARP_SIZE..n {
                 let lane = i % WARP_SIZE;
-                let w = view.eval(i);
+                let w = weight(i);
                 if w <= 0.0 {
                     continue;
                 }
@@ -385,34 +465,6 @@ pub fn warp_ervs(ctx: &mut WarpCtx, view: &NeighborView<'_>, mode: ErvsMode) -> 
                 if k >= lane_key[lane] {
                     lane_key[lane] = k;
                     lane_best[lane] = i;
-                }
-            }
-        }
-        ErvsMode::ExpJump => {
-            // Per-lane A-ExpJ over the stripe, seeded at the global max.
-            if k_g > f64::NEG_INFINITY {
-                for lane in 0..active {
-                    let mut k_cur = k_g;
-                    let mut x_w = open01_lane(ctx, lane).ln() / k_cur.ln();
-                    let mut i = lane + WARP_SIZE;
-                    while i < n {
-                        let w = f64::from(view.eval(i).max(0.0));
-                        ctx.alu(1);
-                        if w > 0.0 {
-                            if x_w <= w {
-                                // Record update with a truncated redraw.
-                                let t = k_cur.powf(w);
-                                let u2 = t + (1.0 - t) * open01_lane(ctx, lane);
-                                k_cur = u2.powf(1.0 / w);
-                                lane_key[lane] = k_cur;
-                                lane_best[lane] = i;
-                                x_w = open01_lane(ctx, lane).ln() / k_cur.ln();
-                            } else {
-                                x_w -= w;
-                            }
-                        }
-                        i += WARP_SIZE;
-                    }
                 }
             }
         }
@@ -501,6 +553,22 @@ mod tests {
         let weights: Vec<f32> = (0..150).map(|i| 1.0 + (i % 5) as f32).collect();
         let counts = run_warp(&weights, |ctx, v| warp_ervs(ctx, v, ErvsMode::ExpJump));
         stat::assert_matches_distribution(&counts, &stat::normalize(&weights), "ervs jump 150");
+    }
+
+    #[test]
+    fn warp_ervs_keys_rows_whose_first_stripe_is_dead() {
+        // 32 dead edges (a masked or label-mismatched prefix), then 8 live
+        // ones with distinct weights: both modes must still reach them.
+        let mut weights = vec![0.0f32; WARP_SIZE];
+        weights.extend([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0]);
+        for mode in [ErvsMode::Exp, ErvsMode::ExpJump] {
+            let counts = run_warp(&weights, |ctx, v| warp_ervs(ctx, v, mode));
+            stat::assert_matches_distribution(
+                &counts,
+                &stat::normalize(&weights),
+                &format!("ervs {mode:?} dead first stripe"),
+            );
+        }
     }
 
     #[test]

@@ -692,6 +692,73 @@ mod tests {
     }
 
     #[test]
+    fn row_views_pick_and_charge_exactly_like_lazy_views() {
+        // A filled row must be indistinguishable from lazy evaluation: same
+        // pick, same charged transactions / draws / shuffles, for every
+        // sampler — including rows whose live edges start past the first
+        // 32 (the zero-prefix case) and all-dead rows.
+        let mut registry = all_builtins();
+        registry.register(Arc::new(crate::TcdfSampler));
+        let mut rng = Philox4x32::new(7, 0x40);
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for deg in [1usize, 5, 31, 32, 33, 64, 200, 1024] {
+            rows.push((0..deg).map(|_| rng.uniform_f32() * 4.0).collect());
+            // Sparse: most edges dead.
+            rows.push(
+                (0..deg)
+                    .map(|_| {
+                        let w = rng.uniform_f32();
+                        if w < 0.8 {
+                            0.0
+                        } else {
+                            w * 8.0
+                        }
+                    })
+                    .collect(),
+            );
+            // Zero prefix: the first 40 edges dead.
+            rows.push(
+                (0..deg)
+                    .map(|i| if i < 40 { 0.0 } else { 1.0 + (i % 3) as f32 })
+                    .collect(),
+            );
+        }
+        rows.push(vec![0.0; 48]);
+        for sampler in registry.iter() {
+            for (r, row) in rows.iter().enumerate() {
+                let bound = row.iter().copied().fold(0.0f32, f32::max);
+                let bounds = if sampler.needs_bound() || sampler.id() == ids::RJS {
+                    vec![(bound > 0.0).then_some(bound), None]
+                } else {
+                    vec![None]
+                };
+                for b in bounds {
+                    for seed in 0..4u64 {
+                        let wf = |i: usize| row[i];
+                        let lazy = NeighborView::new(&wf, row.len(), 12);
+                        let filled = NeighborView::from_row(row, 12);
+                        let run = |view: &NeighborView<'_>| {
+                            let mut ctx = WarpCtx::new(r, seed);
+                            let pick = match sampler.granularity() {
+                                Granularity::Warp => sampler.sample_warp(&mut ctx, view),
+                                Granularity::Lane => sampler.sample_lane(&mut ctx, 3, view, b),
+                            };
+                            (pick, *ctx.stats())
+                        };
+                        assert_eq!(
+                            run(&lazy),
+                            run(&filled),
+                            "{} row {r} (deg {}) bound {b:?} seed {seed}",
+                            sampler.id(),
+                            row.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exact_max_rjs_reduces_when_bound_missing() {
         let wf = |i: usize| WEIGHTS[i];
         let view = NeighborView::new(&wf, WEIGHTS.len(), 8);

@@ -105,7 +105,7 @@ pub fn warp_tcdf(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Option<usize> {
         for (lane, v) in vals.iter_mut().enumerate() {
             let i = c * WARP_SIZE + lane;
             if i < n {
-                *v = (view.weight)(i).max(0.0);
+                *v = view.weight(i).max(0.0);
             }
         }
         let ps = ctx.prefix_sum_f32(&vals);
@@ -174,11 +174,11 @@ pub fn sample_linear_cdf(
 /// slot can be hit when the target lands exactly on a run of dead edges.
 fn finish_pick(view: &NeighborView<'_>, n: usize, at: usize) -> Option<usize> {
     let mut i = at;
-    while i < n && (view.weight)(i) <= 0.0 {
+    while i < n && view.weight(i) <= 0.0 {
         i += 1;
     }
     if i == n {
-        return (0..n).rev().find(|&j| (view.weight)(j) > 0.0);
+        return (0..n).rev().find(|&j| view.weight(j) > 0.0);
     }
     Some(i)
 }

@@ -520,8 +520,9 @@ pub struct Session {
     walkers: HashMap<u64, Arc<CompiledWalker>>,
     /// Preprocessed aggregates per (graph fingerprint, walker) pair.
     aggregates: HashMap<(GraphFp, u64), Arc<flexi_core::Aggregates>>,
-    /// Profiled cost models per (graph fingerprint, bytes-per-weight, seed).
-    profiles: HashMap<(GraphFp, usize, u64), ProfileResult>,
+    /// Profiled cost models per (graph fingerprint, bytes-per-weight). The
+    /// request seed is not part of the key: a profile does not depend on it.
+    profiles: HashMap<(GraphFp, usize), ProfileResult>,
     /// Registered graphs by handle id.
     graphs: HashMap<u64, GraphEntry>,
     pending: Vec<(Ticket, WalkRequest)>,
@@ -732,15 +733,15 @@ impl Session {
         // batches or a weight-representation change.
         let repr_unchanged = outcome.graph.props().bytes_per_weight() == pre_weight_bytes;
         if !outcome.structural && repr_unchanged {
-            let prof_keys: Vec<(GraphFp, usize, u64)> = self
+            let prof_keys: Vec<(GraphFp, usize)> = self
                 .profiles
                 .keys()
-                .filter(|(fp, _, _)| *fp == old_fp)
+                .filter(|(fp, _)| *fp == old_fp)
                 .copied()
                 .collect();
-            for (fp, bytes, seed) in prof_keys {
-                let p = self.profiles[&(fp, bytes, seed)];
-                self.profiles.insert((new_fp, bytes, seed), p);
+            for (fp, bytes) in prof_keys {
+                let p = self.profiles[&(fp, bytes)];
+                self.profiles.insert((new_fp, bytes), p);
                 self.stats.profiles_carried += 1;
             }
         }
@@ -768,7 +769,7 @@ impl Session {
                 .any(|(gid, e)| *gid != id && e.content == fp);
         if !shared {
             self.aggregates.retain(|(k, _), _| *k != fp);
-            self.profiles.retain(|(k, _, _), _| *k != fp);
+            self.profiles.retain(|(k, _), _| *k != fp);
         }
     }
 
@@ -1006,11 +1007,7 @@ impl Session {
             }
         };
 
-        let profile_key = (
-            gfp,
-            walker.walk_dyn().bytes_per_weight(&snap.graph),
-            req.config.seed,
-        );
+        let profile_key = (gfp, walker.walk_dyn().bytes_per_weight(&snap.graph));
         let mut profile_hit = true;
         let profile = match self.profiles.get(&profile_key) {
             Some(p) => Some(*p),

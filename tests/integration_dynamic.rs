@@ -400,6 +400,33 @@ fn out_of_band_updates_do_not_grow_the_caches() {
 }
 
 #[test]
+fn distinct_request_seeds_share_one_profile() {
+    // Clients seeding their own requests is the normal way to get
+    // independent walks; it must not buy a profile (and a cache row that
+    // never leaves) per request.
+    let g = gen::rmat(8, 2048, gen::RmatParams::SOCIAL, 5);
+    let g = WeightModel::UniformReal.apply(g, 5);
+    let mut session = FlexiWalker::builder().build();
+    let g = session.load_graph(g);
+    let walker = session.load_walker("node2vec").unwrap();
+    for batch in 0..100u64 {
+        for i in 0..100u64 {
+            let seed = batch * 100 + i;
+            session.submit(
+                WalkRequest::new(&g, &walker, &[(seed % 256) as NodeId])
+                    .steps(1)
+                    .seed(seed),
+            );
+        }
+        for (_, result) in session.drain() {
+            result.unwrap();
+        }
+    }
+    assert_eq!(session.stats().profiles_run, 1);
+    assert_eq!(session.cached_profiles(), 1);
+}
+
+#[test]
 fn weight_promotion_re_profiles_instead_of_carrying_a_dead_key() {
     // A SetWeight batch on an unweighted graph promotes the edge props to
     // F32, changing every profile key's bytes-per-weight component: the

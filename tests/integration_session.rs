@@ -138,14 +138,14 @@ impl Sampler for TeleportSampler {
     ) -> Option<usize> {
         ctx.read_coalesced(view.deg * view.bytes_per_weight);
         let total: f64 = (0..view.deg)
-            .map(|i| f64::from((view.weight)(i).max(0.0)))
+            .map(|i| f64::from(view.weight(i).max(0.0)))
             .sum();
         if total <= 0.0 {
             return None;
         }
         let mut target = ctx.draw_f64(0) * total;
         for i in 0..view.deg {
-            let wi = f64::from((view.weight)(i).max(0.0));
+            let wi = f64::from(view.weight(i).max(0.0));
             if wi <= 0.0 {
                 continue;
             }
@@ -154,7 +154,7 @@ impl Sampler for TeleportSampler {
                 return Some(i);
             }
         }
-        (0..view.deg).rev().find(|&i| (view.weight)(i) > 0.0)
+        (0..view.deg).rev().find(|&i| view.weight(i) > 0.0)
     }
 
     fn sample_scalar(
