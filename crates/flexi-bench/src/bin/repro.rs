@@ -8,8 +8,8 @@
 //!
 //! With `--json DIR`, every experiment additionally writes a
 //! machine-readable `DIR/BENCH_<experiment>.json` artifact: the tables as
-//! structured rows plus a throughput / kernel-time / sampler-tally summary
-//! probe — the format CI uploads and the bench trajectory is built from.
+//! structured rows plus a simulated kernel-time / sampler-tally summary
+//! probe — the format CI uploads. Artifacts read the simulated clock only.
 
 use flexi_bench::experiments::{run_experiment, ALL_IDS};
 use flexi_bench::json::Json;
@@ -102,7 +102,7 @@ fn main() {
                 let wall = start.elapsed().as_secs_f64();
                 println!("({id} regenerated in {wall:.1}s wall time)\n");
                 if let (Some(dir), Some(summary)) = (&json_dir, &summary) {
-                    write_artifact(dir, id, &profile, wall, summary, &tables);
+                    write_artifact(dir, id, &profile, summary, &tables);
                 }
             }
             None => {
@@ -114,14 +114,7 @@ fn main() {
 }
 
 /// Writes `DIR/BENCH_<id>.json` for one regenerated experiment.
-fn write_artifact(
-    dir: &Path,
-    id: &str,
-    profile: &Profile,
-    wall_seconds: f64,
-    summary: &RunSummary,
-    tables: &[Table],
-) {
+fn write_artifact(dir: &Path, id: &str, profile: &Profile, summary: &RunSummary, tables: &[Table]) {
     let doc = Json::obj([
         ("experiment", Json::from(id)),
         (
@@ -134,7 +127,6 @@ fn write_artifact(
                 ("seed", Json::from(profile.seed)),
             ]),
         ),
-        ("wall_seconds", Json::from(wall_seconds)),
         ("summary", summary.to_json()),
         ("tables", Json::arr(tables.iter().map(Table::to_json))),
     ]);

@@ -2,15 +2,13 @@
 
 use crate::json::Json;
 use flexi_core::{
-    block_schedule, BlockStats, DiskSpec, EngineError, FlexiWalkerEngine, IntoWalker,
-    LatencyHistogram, Node2Vec, RunReport, SamplerTally, StageTiming, WalkConfig, WalkEngine,
+    EngineError, FlexiWalkerEngine, IntoWalker, Node2Vec, RunReport, WalkConfig, WalkEngine,
     WalkRequest,
 };
 use flexi_gpu_sim::DeviceSpec;
 use flexi_graph::{datasets, props, Csr, GraphHandle, NodeId, WeightModel};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Experiment scale knobs.
 #[derive(Clone, Copy, Debug)]
@@ -209,14 +207,14 @@ pub enum WeightSetup {
 }
 
 // Topology cache: generation is the expensive part; weights are re-applied
-// per request.
-type TopologyCache = HashMap<(String, u32), Arc<Csr>>;
+// per request. Keyed by everything `build_scaled` reads, the seed included.
+type TopologyCache = HashMap<(String, u32, u64), Arc<Csr>>;
 static TOPOLOGY_CACHE: Mutex<Option<TopologyCache>> = Mutex::new(None);
 
 fn base_topology(name: &str, shrink: u32, seed: u64) -> Arc<Csr> {
     let mut guard = TOPOLOGY_CACHE.lock().expect("topology cache lock");
     let cache = guard.get_or_insert_with(HashMap::new);
-    let key = (name.to_string(), shrink);
+    let key = (name.to_string(), shrink, seed);
     if let Some(g) = cache.get(&key) {
         return Arc::clone(g);
     }
@@ -324,10 +322,11 @@ pub fn extrapolate_ms(report: &RunReport, g: &Csr, queries_run: usize) -> f64 {
 }
 
 /// Machine-readable summary of one representative FlexiWalker run at the
-/// given profile — the throughput / kernel-time / sampler-tally block
-/// `repro --json` records in every `BENCH_<id>.json` artifact so the
-/// bench trajectory has comparable scalars even for table-shaped
-/// experiments.
+/// given profile — the simulated kernel-time / sampler-tally block
+/// `repro --json` records in every `BENCH_<id>.json` artifact, so even
+/// table-shaped experiments carry comparable scalars. Every field reads
+/// the simulated clock or an exact count; host-clock performance belongs
+/// to the `benchmark/` crate.
 #[derive(Clone, Debug)]
 pub struct RunSummary {
     /// Dataset the probe ran on.
@@ -336,46 +335,15 @@ pub struct RunSummary {
     pub queries: usize,
     /// Steps per walk.
     pub steps: usize,
-    /// Host wall time of the probe run in seconds.
-    pub wall_seconds: f64,
-    /// Queries per wall second.
-    pub throughput_qps: f64,
-    /// Simulated kernel time of the main walk in seconds.
+    /// Simulated kernel time of the probe walk in seconds.
     pub kernel_seconds: f64,
     /// Sampling steps per strategy, keyed by sampler id.
     pub sampler_steps: Vec<(String, u64)>,
-    /// Per-request wall-time distribution of the probe's chunked launches
-    /// (p50/p95/p99 — the same schema the serve bench gates on).
-    pub latency: LatencyHistogram,
-    /// Out-of-core accounting of one recorded chunk replayed through a
-    /// spilled block store bounded at a quarter of the graph — the
-    /// `block_loads`/`block_hits`/`block_evictions` scalars the bench
-    /// trajectory tracks alongside throughput.
-    pub blocks: BlockStats,
-    /// Host wall seconds per probe stage — prepare (dataset + engine
-    /// setup), launch (the chunked walk loop) and replay (the block
-    /// probe) — in the same [`StageTiming`] schema the session drains
-    /// report, so every `repro --json` artifact carries the per-stage
-    /// block. The probe is single-threaded, so its merge tail equals its
-    /// replay time; the pipeline-overlap evidence comes from the
-    /// session-driven drain benches.
-    pub stages: StageTiming,
 }
-
-/// Request chunks the probe splits its query set into — each chunk's wall
-/// time is one latency sample.
-const PROBE_CHUNKS: usize = 8;
 
 impl RunSummary {
     /// Runs the probe: weighted Node2Vec on the YT proxy under `p`.
-    ///
-    /// The query set is served as eight separate request chunks with
-    /// advancing [`WalkRequest::query_offset`]s: per-query Philox streams
-    /// make the chunked walks bit-identical to one monolithic launch,
-    /// while each chunk's wall time becomes one sample of the latency
-    /// distribution.
     pub fn probe(p: &Profile) -> Self {
-        let probe_start = Instant::now();
         let name = "YT";
         let g = dataset(p, name, WeightSetup::Uniform, false);
         let qs = queries(&g, p);
@@ -383,66 +351,19 @@ impl RunSummary {
         cfg.time_budget = f64::MAX;
         let engine = FlexiWalkerEngine::new(device_for(name, &g));
         let g = GraphHandle::new(g);
-        let walker = Node2Vec::paper(true);
-        let prepare_seconds = probe_start.elapsed().as_secs_f64();
-        let chunk_len = qs.len().div_ceil(PROBE_CHUNKS).max(1);
-        let mut latency = LatencyHistogram::new();
-        let mut kernel_seconds = 0.0;
-        let mut tally = SamplerTally::new();
-        let mut offset = 0u64;
-        let start = Instant::now();
-        for chunk in qs.chunks(chunk_len) {
-            let req = WalkRequest::new(&g, &walker, chunk)
-                .with_config(cfg.clone())
-                .query_offset(offset);
-            let launched = Instant::now();
-            let report = engine.run(&req).expect("probe run succeeds");
-            latency.record_seconds(launched.elapsed().as_secs_f64());
-            kernel_seconds += report.sim_seconds;
-            tally.merge(&report.sampler_steps);
-            offset += chunk.len() as u64;
-        }
-        let wall_seconds = start.elapsed().as_secs_f64().max(1e-9);
-        // Out-of-core probe: replay one recorded chunk through a spilled
-        // block store whose resident budget admits a quarter of the
-        // graph, so every artifact carries comparable block-cache
-        // scalars.
-        let mut oc_cfg = cfg.clone();
-        oc_cfg.record_paths = true;
-        let chunk = &qs[..chunk_len.min(qs.len())];
         let report = engine
-            .run(&WalkRequest::new(&g, &walker, chunk).with_config(oc_cfg))
-            .expect("block probe run succeeds");
-        let paths = report.paths.expect("block probe records paths");
-        let csr = g.graph();
-        let budget = (csr.memory_bytes() / 4).max(1);
-        let replay_start = Instant::now();
-        let rt = flexi_graph::BlockRuntime::build(&csr, (budget / 4).max(1), budget)
-            .expect("block probe spill succeeds");
-        let blocks =
-            block_schedule(&paths, &rt, &DiskSpec::nvme()).expect("block probe replay succeeds");
-        let replay_seconds = replay_start.elapsed().as_secs_f64();
-        let stages = StageTiming {
-            prepare_seconds,
-            launch_seconds: wall_seconds,
-            merge_seconds: 0.0,
-            replay_seconds,
-            // Single-threaded probe: the replay runs after the last
-            // launch, so none of it is hidden.
-            merge_tail_seconds: replay_seconds,
-            wall_seconds: probe_start.elapsed().as_secs_f64(),
-        };
+            .run(&WalkRequest::new(&g, &Node2Vec::paper(true), &qs).with_config(cfg))
+            .expect("probe run succeeds");
         Self {
             dataset: name,
             queries: qs.len(),
             steps: p.steps,
-            wall_seconds,
-            throughput_qps: qs.len() as f64 / wall_seconds,
-            kernel_seconds,
-            sampler_steps: tally.iter().map(|(id, n)| (id.to_string(), n)).collect(),
-            latency,
-            blocks,
-            stages,
+            kernel_seconds: report.sim_seconds,
+            sampler_steps: report
+                .sampler_steps
+                .iter()
+                .map(|(id, n)| (id.to_string(), n))
+                .collect(),
         }
     }
 
@@ -452,8 +373,6 @@ impl RunSummary {
             ("dataset", Json::from(self.dataset)),
             ("queries", Json::from(self.queries)),
             ("steps", Json::from(self.steps)),
-            ("wall_seconds", Json::from(self.wall_seconds)),
-            ("throughput_qps", Json::from(self.throughput_qps)),
             ("kernel_seconds", Json::from(self.kernel_seconds)),
             (
                 "sampler_steps",
@@ -462,19 +381,6 @@ impl RunSummary {
                         .iter()
                         .map(|(id, n)| (id.clone(), Json::from(*n))),
                 ),
-            ),
-            ("latency", crate::json::latency_obj(&self.latency)),
-            ("stages", crate::json::stages_obj(&self.stages)),
-            (
-                "blocks",
-                Json::obj([
-                    ("count", Json::from(self.blocks.blocks)),
-                    ("block_loads", Json::from(self.blocks.loads)),
-                    ("block_hits", Json::from(self.blocks.hits)),
-                    ("block_evictions", Json::from(self.blocks.evictions)),
-                    ("hit_rate", Json::from(self.blocks.hit_rate())),
-                    ("io_seconds", Json::from(self.blocks.io_seconds)),
-                ]),
             ),
         ])
     }
@@ -574,30 +480,48 @@ mod tests {
 
     #[test]
     fn run_summary_probe_reports_throughput_and_tallies() {
+        use crate::json::tests::extract_number;
         let p = Profile::test();
         let s = RunSummary::probe(&p);
-        assert!(s.throughput_qps > 0.0);
         assert!(s.kernel_seconds > 0.0);
         assert!(s.queries > 0);
         assert!(!s.sampler_steps.is_empty());
-        assert!((1..=PROBE_CHUNKS as u64).contains(&s.latency.count()));
-        assert!(s.latency.p99() >= s.latency.p50());
         let doc = s.to_json().render();
-        assert!(crate::json::extract_number(&doc, "throughput_qps").unwrap() > 0.0);
-        assert!(crate::json::extract_number(&doc, "p99_ms").unwrap() > 0.0);
         assert_eq!(
-            crate::json::extract_number(&doc, "count"),
-            Some(s.latency.count() as f64)
+            extract_number(&doc, "kernel_seconds"),
+            Some(s.kernel_seconds)
         );
-        // The per-stage block rides every artifact: the probe's launch
-        // loop dominates its stage wall time, and the single-threaded
-        // replay is entirely unhidden tail.
-        assert!(crate::json::extract_number(&doc, "launch_seconds").unwrap() > 0.0);
-        assert!(
-            crate::json::extract_number(&doc, "stage_wall_seconds").unwrap()
-                >= crate::json::extract_number(&doc, "launch_seconds").unwrap()
+        assert_eq!(extract_number(&doc, "queries"), Some(s.queries as f64));
+        // No host-clock field rides the artifact.
+        for key in [
+            "wall_seconds",
+            "throughput_qps",
+            "latency",
+            "stages",
+            "blocks",
+        ] {
+            assert!(!doc.contains(&format!("\"{key}\"")), "{key} in {doc}");
+        }
+    }
+
+    #[test]
+    fn dataset_cache_keys_by_seed() {
+        let seven = Profile::test();
+        let eight = Profile { seed: 8, ..seven };
+        let spec = datasets::proxy("YT").expect("known dataset");
+        let a = dataset(&seven, "YT", WeightSetup::Uniform, false);
+        let b = dataset(&eight, "YT", WeightSetup::Uniform, false);
+        let fresh = spec.build_scaled(eight.shrink, eight.seed);
+        assert_ne!(
+            a.col_idx(),
+            fresh.col_idx(),
+            "seeds 7 and 8 must generate different topologies"
         );
-        assert_eq!(s.stages.merge_tail_seconds, s.stages.replay_seconds);
+        assert_eq!(
+            (b.row_ptr(), b.col_idx()),
+            (fresh.row_ptr(), fresh.col_idx()),
+            "seed 8 served seed 7's topology"
+        );
     }
 
     #[test]

@@ -1,15 +1,11 @@
-//! Minimal, dependency-free JSON emission (and just enough extraction to
-//! gate benches against a checked-in baseline).
+//! Minimal, dependency-free JSON emission.
 //!
-//! The bench pipeline writes `BENCH_<id>.json` artifacts — machine-readable
-//! mirrors of the repro tables plus throughput / kernel-time / sampler-tally
-//! summaries — that CI uploads and the `bench-gate` job compares against
-//! baselines in `benches/baselines/`. The workspace is offline and std-only,
-//! so instead of serde this module provides a tiny value tree with a stable
-//! renderer, and [`extract_number`] for reading one numeric field back out
-//! of a baseline file.
+//! `repro --json` writes `BENCH_<id>.json` artifacts — machine-readable
+//! mirrors of the repro tables plus a simulated kernel-time / sampler-tally
+//! summary — that CI uploads. The workspace is offline and std-only, so
+//! instead of serde this module provides a tiny value tree with a stable
+//! renderer.
 
-use flexi_core::{LatencyHistogram, StageTiming};
 use std::fmt::Write as _;
 
 /// A JSON value tree. Object member order is preserved as inserted, so
@@ -148,56 +144,24 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// The canonical latency block every bench artifact embeds — p50/p95/p99
-/// milliseconds plus mean, max and sample count — so the serve bench, the
-/// drain benches and `repro --json` summaries all emit one comparable
-/// schema.
-pub fn latency_obj(hist: &LatencyHistogram) -> Json {
-    Json::obj([
-        ("count", Json::from(hist.count())),
-        ("p50_ms", Json::from(hist.p50() * 1e3)),
-        ("p95_ms", Json::from(hist.p95() * 1e3)),
-        ("p99_ms", Json::from(hist.p99() * 1e3)),
-        ("mean_ms", Json::from(hist.mean() * 1e3)),
-        ("max_ms", Json::from(hist.max() * 1e3)),
-    ])
-}
-
-/// The canonical per-stage timing block — prepare/launch/merge/replay
-/// busy seconds, the unhidden merge tail, the execute-phase wall time and
-/// the derived overlap fraction — shared by every `repro --json` artifact
-/// and the drain benches, so the pipeline gate can read one schema.
-pub fn stages_obj(stages: &StageTiming) -> Json {
-    Json::obj([
-        ("prepare_seconds", Json::from(stages.prepare_seconds)),
-        ("launch_seconds", Json::from(stages.launch_seconds)),
-        ("merge_seconds", Json::from(stages.merge_seconds)),
-        ("replay_seconds", Json::from(stages.replay_seconds)),
-        ("merge_tail_seconds", Json::from(stages.merge_tail_seconds)),
-        ("stage_wall_seconds", Json::from(stages.wall_seconds)),
-        ("overlap_fraction", Json::from(stages.overlap_fraction())),
-    ])
-}
-
-/// Extracts the first number stored under `"key":` in a JSON document.
-///
-/// This is deliberately not a parser: the bench gate only needs to read a
-/// handful of scalar fields back out of artifacts this module produced.
-/// Keys nested under different objects are not disambiguated — gate
-/// baselines keep their gated scalars at unique keys.
-pub fn extract_number(src: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = src.find(&needle)? + needle.len();
-    let rest = src[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Extracts the first number stored under `"key":` in a JSON document.
+    ///
+    /// Deliberately not a parser: tests read a handful of scalar fields
+    /// back out of documents this module rendered. Keys nested under
+    /// different objects are not disambiguated.
+    pub(crate) fn extract_number(src: &str, key: &str) -> Option<f64> {
+        let needle = format!("\"{key}\"");
+        let at = src.find(&needle)? + needle.len();
+        let rest = src[at..].trim_start().strip_prefix(':')?.trim_start();
+        let end = rest
+            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
+            .unwrap_or(rest.len());
+        rest[..end].parse().ok()
+    }
 
     #[test]
     fn renders_nested_structures() {
@@ -226,40 +190,6 @@ mod tests {
     fn non_finite_numbers_render_null() {
         assert_eq!(Json::Num(f64::NAN).render(), "null\n");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null\n");
-    }
-
-    #[test]
-    fn latency_obj_emits_the_shared_schema() {
-        let mut h = LatencyHistogram::new();
-        for us in [100u64, 200, 400, 120_000] {
-            h.record_seconds(us as f64 * 1e-6);
-        }
-        let doc = latency_obj(&h).render();
-        assert_eq!(extract_number(&doc, "count"), Some(4.0));
-        let p50 = extract_number(&doc, "p50_ms").unwrap();
-        let p99 = extract_number(&doc, "p99_ms").unwrap();
-        assert!(p50 > 0.0 && p99 >= p50);
-        assert!(extract_number(&doc, "max_ms").unwrap() >= 120.0);
-    }
-
-    #[test]
-    fn stages_obj_emits_the_shared_schema() {
-        let stages = StageTiming {
-            prepare_seconds: 0.5,
-            launch_seconds: 2.0,
-            merge_seconds: 0.75,
-            replay_seconds: 0.25,
-            merge_tail_seconds: 0.25,
-            wall_seconds: 2.25,
-        };
-        let doc = stages_obj(&stages).render();
-        assert_eq!(extract_number(&doc, "prepare_seconds"), Some(0.5));
-        assert_eq!(extract_number(&doc, "launch_seconds"), Some(2.0));
-        assert_eq!(extract_number(&doc, "merge_seconds"), Some(0.75));
-        assert_eq!(extract_number(&doc, "replay_seconds"), Some(0.25));
-        assert_eq!(extract_number(&doc, "merge_tail_seconds"), Some(0.25));
-        assert_eq!(extract_number(&doc, "stage_wall_seconds"), Some(2.25));
-        assert_eq!(extract_number(&doc, "overlap_fraction"), Some(0.75));
     }
 
     #[test]

@@ -1,22 +1,19 @@
-//! Benchmark harness regenerating every table and figure of the paper.
+//! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Two entry points share this library:
-//!
-//! - the `repro` binary (`cargo run -p flexi-bench --release --bin repro --
-//!   <experiment>`) prints each table/figure's rows;
-//! - the micro-benches (`cargo bench`, built on [`microbench`]) measure
-//!   wall-clock time of the same engine configurations at reduced scale.
+//! The `repro` binary (`cargo run -p flexi-bench --release --bin repro --
+//! <experiment>`) prints each table/figure's rows on the simulated clock.
+//! Host-clock performance is measured by the separate `benchmark/` crate,
+//! not here.
 //!
 //! [`harness`] holds the shared machinery: run profiles, the dataset
 //! cache, VRAM/time-budget scaling (so OOM/OOT reproduce at proxy scale),
 //! and outcome formatting. [`experiments`] implements one function per
 //! paper artifact (`fig3`, `table2`, …) as indexed in `DESIGN.md` §4.
-//! [`json`] is the std-only emitter behind the `BENCH_<id>.json` artifact
-//! pipeline (`repro --json`, the `bench-gate` CI job).
+//! [`json`] is the std-only emitter behind the `BENCH_<id>.json`
+//! artifacts `repro --json` writes.
 
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod microbench;
 
 pub use harness::{Outcome, Profile, RunSummary, Table};

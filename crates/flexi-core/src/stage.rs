@@ -10,9 +10,8 @@
 //! launch finished. A staged executor pays the whole merge in the tail; a
 //! pipelined one hides most of it behind launches still in flight. The
 //! session accumulates one record per drain into
-//! `SessionStats::stages`, and `repro --json` / the drain benches emit it
-//! through `flexi_bench::json::stages_obj`, where
-//! `benches/pipeline_drain.rs` gates on the tail fraction.
+//! `SessionStats::stages`, from which the `benchmark/` crate derives its
+//! per-layer `executor.*` shares.
 //!
 //! All fields are *host* wall seconds (what the calling thread and the
 //! worker pool actually spent), not simulated device time; busy seconds

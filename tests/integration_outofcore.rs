@@ -158,6 +158,73 @@ fn out_of_core_output_is_bit_identical_to_single_at_every_worker_count() {
     }
 }
 
+/// Drains two identical node2vec submission streams on `csr` (the second
+/// runs on warm caches) and returns the last drain's transcript plus the
+/// session stats.
+fn node2vec_drains(
+    csr: &Csr,
+    spec: &DeviceSpec,
+    topology: Topology,
+    workers: usize,
+) -> (Vec<WalkRecord>, SessionStats) {
+    let mut session = FlexiWalker::builder()
+        .device(spec.clone())
+        .topology(topology)
+        .workers(workers)
+        .build();
+    let g = session.load_graph(csr.clone());
+    let n = csr.num_nodes();
+    let mut last = Vec::new();
+    for _ in 0..2 {
+        for r in 0..4 {
+            let queries: Vec<NodeId> = (0..48).map(|i| ((r * 48 + i) % n) as NodeId).collect();
+            session.submit(
+                WalkRequest::new(&g, "node2vec", queries)
+                    .steps(8)
+                    .record_paths(true),
+            );
+        }
+        last = records(session.drain());
+    }
+    (last, session.stats())
+}
+
+/// The oversize ladder: on a device whose VRAM holds 3/5 of the graph,
+/// `Single` OOMs, while out-of-core budgets of graph/{2, 4, 8} (blocks a
+/// quarter of the budget each) serve walks identical to an unconstrained
+/// `Single` drain — the harshest rung under eviction pressure and at
+/// several workers too.
+#[test]
+fn out_of_core_serves_an_oversize_ladder_where_single_ooms() {
+    let csr = gen::rmat(10, 8192, gen::RmatParams::SOCIAL, 41);
+    let csr = WeightModel::UniformReal.apply(csr, 41);
+    let graph_bytes = csr.memory_bytes();
+    let mut small = DeviceSpec::a6000();
+    small.vram_bytes = graph_bytes * 3 / 5;
+
+    let mut single = FlexiWalker::builder().device(small.clone()).build();
+    let g = single.load_graph(csr.clone());
+    let err = single
+        .run(WalkRequest::new(&g, "node2vec", &[0u32, 1][..]).steps(2))
+        .unwrap_err();
+    assert!(matches!(err, EngineError::OutOfMemory { .. }), "{err:?}");
+
+    let (reference, _) = node2vec_drains(&csr, &DeviceSpec::a6000(), Topology::Single, 1);
+    assert!(reference.iter().all(|r| r.steps_taken > 0));
+    for k in [2, 4, 8] {
+        let budget = graph_bytes / k;
+        let topology = Topology::out_of_core(budget, (budget / 4).max(1024));
+        let (walks, stats) = node2vec_drains(&csr, &small, topology, 1);
+        assert_eq!(walks, reference, "graph/{k} budget diverged from Single");
+        if k == 8 {
+            assert!(stats.block_loads > 0, "stats: {stats:?}");
+            assert!(stats.block_evictions > 0, "stats: {stats:?}");
+            let (walks, _) = node2vec_drains(&csr, &small, topology, 4);
+            assert_eq!(walks, reference, "graph/8 budget diverged at workers(4)");
+        }
+    }
+}
+
 #[test]
 fn out_of_core_reports_carry_block_stats() {
     let mut session = FlexiWalker::builder()

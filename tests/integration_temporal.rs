@@ -358,6 +358,65 @@ fn tcdf_sampler_serves_temporal_walks_when_selected() {
     }
 }
 
+/// Progressive timestamped ingest: three doubling `AddEdgeAt` batches
+/// from ~1k edges land as one epoch each without re-hashing the graph, and
+/// the freshest slice is walkable at every epoch.
+#[test]
+fn doubling_ingest_ladder_advances_one_epoch_per_batch() {
+    const LADDER_NODES: u64 = 1024;
+    let mut rng = 0xF1E5u64;
+    let mut builder = CsrBuilder::new(LADDER_NODES as usize);
+    for _ in 0..1024 {
+        builder.push_full_at(
+            (mix(&mut rng) % LADDER_NODES) as NodeId,
+            (mix(&mut rng) % LADDER_NODES) as NodeId,
+            0.5 + (mix(&mut rng) % 8) as f32,
+            0,
+            mix(&mut rng) % 1000,
+        );
+    }
+    let mut session = session_builder(1, Topology::Single, false).build();
+    let g = session.load_graph(builder.build().expect("seed graph"));
+    let queries: Vec<NodeId> = (0..64)
+        .map(|q| (q * 131 % LADDER_NODES) as NodeId)
+        .collect();
+    let mut clock = 1000u64;
+    for epoch in 1..=3u64 {
+        let batch: Vec<GraphUpdate> = (0..g.graph().num_edges())
+            .map(|_| {
+                clock += mix(&mut rng) % 3;
+                GraphUpdate::AddEdgeAt {
+                    src: (mix(&mut rng) % LADDER_NODES) as NodeId,
+                    dst: (mix(&mut rng) % LADDER_NODES) as NodeId,
+                    weight: 0.5 + (mix(&mut rng) % 8) as f32,
+                    label: 0,
+                    time: clock,
+                }
+            })
+            .collect();
+        let outcome = session.apply_updates(&g, &batch).expect("ingest applies");
+        assert_eq!(outcome.version.epoch, epoch);
+        let report = session
+            .run(
+                WalkRequest::new(&g, "temporal_uniform", queries.clone())
+                    .steps(8)
+                    .window(TimeWindow::since(clock - 500)),
+            )
+            .expect("windowed walk serves");
+        assert!(
+            report.steps_taken > 0,
+            "epoch {epoch}: recent slice unwalkable"
+        );
+    }
+    assert_eq!(g.graph().num_edges(), 8 * 1024);
+    let stats = session.stats();
+    assert_eq!(stats.epochs_applied, 3);
+    assert_eq!(
+        stats.digests_computed, 1,
+        "ingest must not re-hash the graph"
+    );
+}
+
 /// Windows genuinely bind: a window past every timestamp strands walks at
 /// their start nodes, the full window reproduces the unwindowed run
 /// bit-for-bit (mask short-circuit), and disjoint windows disagree.

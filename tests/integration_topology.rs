@@ -322,15 +322,35 @@ fn partitioned_topology_fits_graphs_that_oom_single_and_multi() {
             topology.tag()
         );
     }
-    let mut session = FlexiWalker::builder()
-        .device(spec)
-        .topology(Topology::partitioned(4))
-        .build();
-    let g = session.load_graph(csr);
-    let report = session
-        .run(WalkRequest::new(&g, "uniform", &queries).steps(4))
-        .unwrap();
-    assert!(report.steps_taken > 0);
+    // Two drains of node2vec + uniform walks, recorded; the one graph's
+    // process-global id is normalised away so sessions compare.
+    let drain_twice = |spec: DeviceSpec, topology: Topology| {
+        let mut session = FlexiWalker::builder()
+            .device(spec)
+            .topology(topology)
+            .build();
+        let g = session.load_graph(csr.clone());
+        let mut walks = Vec::new();
+        for _ in 0..2 {
+            for w in ["node2vec", "uniform"] {
+                session.submit(
+                    WalkRequest::new(&g, w, &queries)
+                        .steps(4)
+                        .record_paths(true),
+                );
+            }
+            walks.extend(records(session.drain()).0);
+        }
+        for r in &mut walks {
+            r.graph_version.0 = 0;
+        }
+        (walks, session.stats())
+    };
+    let (walks, stats) = drain_twice(spec, Topology::partitioned(4));
+    assert!(walks.iter().all(|r| r.steps_taken > 0));
+    assert_eq!(stats.plan_builds, 1, "the plan is built once, then reused");
+    let (reference, _) = drain_twice(DeviceSpec::tiny(), Topology::Single);
+    assert_eq!(walks, reference, "partitioned output diverged from Single");
 }
 
 #[test]
