@@ -194,8 +194,16 @@ pub fn warp_alias(ctx: &mut WarpCtx, view: &NeighborView<'_>) -> Option<usize> {
 /// `bound` must dominate every transition weight. Each trial costs two RNG
 /// draws and two scattered reads (the probed adjacency entry and its
 /// property/history data live in separate arrays). Returns the accepted
-/// neighbor and the number of trials; falls back to an exact scan
-/// (charged coalesced) after [`MAX_REJECTION_TRIALS`].
+/// neighbor and the number of trials run.
+///
+/// After `deg` failed trials (at most [`MAX_REJECTION_TRIALS`]) the lane
+/// takes an exact linear-CDF pass instead (one charged coalesced pass over
+/// the row, one draw if the row has mass). By then the trials have cost
+/// more than that pass (Eq. 10 against Eq. 9), and being memoryless they
+/// expect no fewer to come, so stopping is never worse in expectation and
+/// the output law stays exact. A row with no live mass under a positive
+/// bound — a temporal walker past every stamp, a `metapath` label no edge
+/// carries — therefore costs at most one row's worth of trials.
 pub fn lane_rejection(
     ctx: &mut WarpCtx,
     lane: usize,
@@ -223,7 +231,8 @@ fn rejection_trials(
     if n == 0 || !(bound > 0.0) {
         return (None, 0);
     }
-    for trial in 1..=MAX_REJECTION_TRIALS {
+    let max_trials = MAX_REJECTION_TRIALS.min(u32::try_from(n).unwrap_or(u32::MAX));
+    for trial in 1..=max_trials {
         let x = ctx.draw_index(lane, n);
         let y = ctx.draw_f32(lane) * bound;
         // A probed weight evaluation gathers from separate arrays (the
@@ -237,23 +246,25 @@ fn rejection_trials(
             return (Some(x), trial);
         }
     }
-    // Exact fallback: one coalesced pass + linear CDF with lane RNG.
+    // Exact fallback: one coalesced pass + linear CDF with lane RNG. The
+    // row is read twice on the host (sum, then scan) rather than buffered:
+    // this runs on every stranded step, and the charge is one pass.
     charge_weight_pass(ctx, view, n);
     ctx.alu(n as u64);
-    let weights: Vec<f32> = (0..n).map(&weight).collect();
-    let total: f64 = weights.iter().map(|&w| f64::from(w)).sum();
+    let total: f64 = (0..n).map(|i| f64::from(weight(i))).sum();
     if total <= 0.0 {
-        return (None, MAX_REJECTION_TRIALS);
+        return (None, max_trials);
     }
     let target = ctx.draw_f64(lane) * total;
     let mut acc = 0.0;
-    for (i, &w) in weights.iter().enumerate() {
+    for i in 0..n {
+        let w = weight(i);
         acc += f64::from(w);
         if target <= acc && w > 0.0 {
-            return (Some(i), MAX_REJECTION_TRIALS);
+            return (Some(i), max_trials);
         }
     }
-    (weights.iter().rposition(|&w| w > 0.0), MAX_REJECTION_TRIALS)
+    ((0..n).rev().find(|&i| weight(i) > 0.0), max_trials)
 }
 
 /// NextDoor's per-step exact max-weight reduction (the cost eRJS removes).
@@ -595,6 +606,71 @@ mod tests {
             counts[i.unwrap()] += 1;
         }
         stat::assert_matches_distribution(&counts, &stat::normalize(&WEIGHTS), "lane rjs loose");
+    }
+
+    /// Runs `check` on the lazy and on the row form of a view over `weights`.
+    fn both_views(weights: &[f32], mut check: impl FnMut(&NeighborView<'_>, &str)) {
+        let wf = |i: usize| weights[i];
+        check(&NeighborView::new(&wf, weights.len(), 8), "lazy");
+        check(&NeighborView::from_row(weights, 8), "row");
+    }
+
+    #[test]
+    fn lane_rejection_gives_up_on_zero_mass_rows_after_deg_trials() {
+        // Live mass zero under a positive bound: the loop can never accept,
+        // so everything it spends before the exact pass is waste.
+        for d in [1usize, 7, 32, 1000] {
+            both_views(&vec![0.0; d], |v, form| {
+                let mut ctx = WarpCtx::new(d, 0x2E);
+                let (pick, trials) = lane_rejection(&mut ctx, 5, v, 1.0);
+                let s = ctx.stats();
+                let cap = 2 * d as u64;
+                assert_eq!(pick, None, "{form} d={d}");
+                assert!(trials as usize <= d, "{form} d={d}: {trials} trials");
+                assert!(
+                    s.random_transactions <= cap,
+                    "{form} d={d}: {} random transactions",
+                    s.random_transactions
+                );
+                assert!(s.rng_draws <= cap, "{form} d={d}: {} draws", s.rng_draws);
+            });
+        }
+    }
+
+    #[test]
+    fn lane_rejection_exact_pass_keeps_sparse_rows_exact() {
+        // Two live edges in 1 000 at a tight bound: a trial accepts with
+        // probability Σw / (deg · bound) = 1/1000, so about e⁻¹ of the calls
+        // exhaust their `deg` trials and pick through the exact pass.
+        const CALLS: usize = 10_000;
+        let mut weights = vec![0.0f32; 1000];
+        weights[123] = 1.0;
+        weights[877] = 3.0;
+        both_views(&weights, |v, form| {
+            let mut counts = [0u64; 2];
+            let mut exhausted = 0;
+            for call in 0..CALLS {
+                let mut ctx = WarpCtx::new(call, 0x5A);
+                let (pick, trials) = lane_rejection(&mut ctx, call % WARP_SIZE, v, 4.0);
+                match pick {
+                    Some(123) => counts[0] += 1,
+                    Some(877) => counts[1] += 1,
+                    other => panic!("{form}: picked {other:?}"),
+                }
+                if trials as usize == weights.len() {
+                    exhausted += 1;
+                }
+            }
+            assert!(
+                exhausted * 10 >= CALLS * 3,
+                "{form}: only {exhausted} of {CALLS} calls reached the exact pass"
+            );
+            stat::assert_matches_distribution(
+                &counts,
+                &[0.25, 0.75],
+                &format!("lane rjs sparse {form}"),
+            );
+        });
     }
 
     #[test]

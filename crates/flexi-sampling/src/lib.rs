@@ -47,10 +47,14 @@ pub use scalar::ScalarCost;
 pub use state::{NodeState, StateTable};
 pub use temporal::TcdfSampler;
 
-/// Maximum rejection-sampling trials before falling back to a linear scan.
+/// Ceiling on rejection-sampling trials before falling back to a linear scan.
 ///
 /// A pathological bound (or an adversarial weight distribution) could make
-/// pure rejection loop for a very long time; all rejection paths in this
-/// repository bail out to an exact linear-CDF sample after this many trials,
-/// preserving the output distribution while bounding worst-case work.
+/// pure rejection loop for a very long time, so every rejection path bails
+/// out to an exact linear-CDF sample, preserving the output distribution
+/// while bounding worst-case work. The warp kernel
+/// ([`kernels::lane_rejection`]) stops at `min(deg, MAX_REJECTION_TRIALS)`
+/// trials, where one pass over the row becomes cheaper than more trials;
+/// the scalar baselines ([`scalar::sample_rejection`]) stop at this flat
+/// cap, as the KnightKing and NextDoor samplers they model do.
 pub const MAX_REJECTION_TRIALS: u32 = 4096;

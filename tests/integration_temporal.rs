@@ -3,7 +3,8 @@
 //! their native walkers through the full session pipeline, and a
 //! [`WalkServer`] interleaving timestamped ingest serves exactly what an
 //! offline [`Session`] drains at the same epoch. Every recorded path is
-//! checked forward-in-time against the graph it traversed.
+//! checked forward-in-time against the graph it traversed. Two exact
+//! simulated-clock checks bound what a stranded rejection step may cost.
 
 use flexiwalker::prelude::*;
 use std::sync::Arc;
@@ -414,6 +415,84 @@ fn doubling_ingest_ladder_advances_one_epoch_per_batch() {
     assert_eq!(
         stats.digests_computed, 1,
         "ingest must not re-hash the graph"
+    );
+}
+
+/// A walk clock that outruns a row leaves it with zero live mass while the
+/// eRJS bound stays positive. The cost model still picks eRJS on such
+/// rows, so rejection must give up after one row's worth of trials. On the
+/// simulated clock the adaptive run then stays within 2× of the better
+/// forced sampler; with a flat 4 096-trial cap it is ~50× off. What is
+/// left is the selector pricing the full row where the window has hidden
+/// most of it.
+#[test]
+fn stranded_temporal_walks_keep_cost_model_near_the_best_forced_sampler() {
+    const DAY: u64 = 86_400;
+    const NODES: u64 = 1 << 10;
+    let mut rng = 0x7E4Fu64;
+    let mut b = CsrBuilder::new(NODES as usize);
+    for src in 0..NODES as NodeId {
+        for _ in 0..4 + mix(&mut rng) % 29 {
+            let dst = (mix(&mut rng) % NODES) as NodeId;
+            let w = 1.0 + (mix(&mut rng) % 1000) as f32 / 250.0;
+            b.push_full_at(src, dst, w, 0, mix(&mut rng) % DAY);
+        }
+    }
+    let csr = b.build().expect("valid timestamped graph");
+    let sim_seconds = |strategy| {
+        let mut session = FlexiWalker::builder().strategy(strategy).build();
+        let g = session.load_graph(csr.clone());
+        let queries: Vec<NodeId> = (0..256).map(|q| (q * 3) as NodeId).collect();
+        session
+            .run(
+                WalkRequest::new(&g, "temporal_uniform", queries)
+                    .steps(40)
+                    .window(TimeWindow::new(0, DAY / 2)),
+            )
+            .expect("windowed walk serves")
+            .sim_seconds
+    };
+    let adaptive = sim_seconds(SelectionStrategy::CostModel);
+    let erjs = sim_seconds(SelectionStrategy::RJS_ONLY);
+    let ervs = sim_seconds(SelectionStrategy::RVS_ONLY);
+    assert!(
+        adaptive <= 2.0 * erjs.min(ervs),
+        "cost model {adaptive:.3e} s vs forced eRJS {erjs:.3e} s / eRVS {ervs:.3e} s"
+    );
+}
+
+/// `metapath` on an unlabelled graph: past the first hop no edge carries
+/// the wanted label, so forced eRJS meets a zero-mass row on every walk.
+/// Each sampler call may spend at most `2·deg` draws on trials plus the
+/// exact pass's two, whatever the row.
+#[test]
+fn metapath_erjs_on_unlabelled_rows_draws_at_most_one_row_of_trials() {
+    let csr = gen::rmat(10, 8192, gen::RmatParams::SOCIAL, 7);
+    let mut session = FlexiWalker::builder()
+        .strategy(SelectionStrategy::RJS_ONLY)
+        .build();
+    let g = session.load_graph(csr.clone());
+    let queries: Vec<NodeId> = (0..256).collect();
+    let report = session
+        .run(
+            WalkRequest::new(&g, "metapath", queries)
+                .steps(5)
+                .record_paths(true),
+        )
+        .expect("metapath serves");
+    // Every node on a path hosted at most one sampler call.
+    let budget: u64 = report
+        .paths
+        .as_ref()
+        .expect("recorded")
+        .iter()
+        .flatten()
+        .map(|&v| 2 * csr.edge_range(v).len() as u64 + 4)
+        .sum();
+    assert!(
+        report.stats.rng_draws <= budget,
+        "{} draws over a budget of {budget}",
+        report.stats.rng_draws
     );
 }
 
