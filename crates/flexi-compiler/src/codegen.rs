@@ -9,9 +9,10 @@
 //!   path returns (Eq. 12's `Σw · E[h]` estimate), multiplied by the degree
 //!   when the kernel is `PER_KERNEL` (constant returns).
 //!
-//! The estimators are expression IRs evaluated against an
-//! [`EstimatorEnv`] supplied by the runtime; a pretty-printed C-like
-//! rendering is kept for inspection (`CompiledWalk::generated_source`).
+//! The estimators are expression IRs. [`Estimator::lower`] resolves their
+//! names once per launch, and the runtime evaluates the lowered form per
+//! step through a [`StepInput`]. A pretty-printed C-like rendering is kept
+//! for inspection (`CompiledWalk::generated_source`).
 
 use crate::analysis::{fold, overall_granularity, BoundGranularity, PathInfo};
 use crate::ast::{Expr, Program, UnOp};
@@ -34,20 +35,25 @@ pub struct PreprocessRequest {
     pub kind: AggKind,
 }
 
-/// Runtime values the estimators read.
+/// What a lowered estimator reads from the walk at each step.
 ///
-/// Implemented by `Flexi-Runtime`; the compiler only defines the interface.
-pub trait EstimatorEnv {
-    /// Per-node aggregate of an edge-indexed array at the current node
-    /// (e.g. `h_MAX[cur]`). `None` if the aggregate was not preprocessed.
-    fn edge_aggregate(&self, array: &str, kind: AggKind) -> Option<f64>;
+/// Implemented by `Flexi-Runtime`; the compiler only defines the
+/// interface. Everything else an estimator names — aggregate tables and
+/// hyperparameters — is resolved once by [`Estimator::lower`]. An input
+/// that has no walk state answers `None`, which the estimator propagates.
+pub trait StepInput {
+    /// The current node: the row every aggregate table is indexed at.
+    fn cur(&self) -> Option<usize>;
+
+    /// `deg`: the current node's degree.
+    fn degree(&self) -> Option<f64>;
+
+    /// `step` / `iter`: the zero-based step index.
+    fn step(&self) -> Option<f64>;
 
     /// A node-indexed runtime scalar such as `deg[cur]`, `deg[prev]`, or
     /// `schema[step]`.
     fn node_scalar(&self, array: &str, index: &str) -> Option<f64>;
-
-    /// A free runtime variable such as `step` or `deg` (current degree).
-    fn var(&self, name: &str) -> Option<f64>;
 }
 
 /// How an estimator combines its per-path values.
@@ -72,27 +78,33 @@ pub struct Estimator {
 }
 
 impl Estimator {
-    /// Evaluates the estimator against `env`.
+    /// Lowers the estimator for one launch: every name resolves here,
+    /// once, so per-step evaluation is arithmetic over resolved slots.
     ///
-    /// Returns `None` if a referenced aggregate/scalar is unavailable.
-    pub fn eval(&self, env: &dyn EstimatorEnv) -> Option<f64> {
-        let mut acc: Option<f64> = None;
-        for e in &self.exprs {
-            let v = eval_expr(e, env)?;
-            acc = Some(match (acc, self.combine) {
-                (None, _) => v,
-                (Some(a), Combine::Max) => a.max(v),
-                (Some(a), Combine::Mean) => a + v,
-            });
+    /// - `array_MAX[..]` / `array_SUM[..]` bind to the table `aggregate`
+    ///   returns for `(array, kind)`;
+    /// - a free variable is `deg`, then `step` / `iter`, then a
+    ///   `hyperparam` constant;
+    /// - node-indexed scalars keep their pre-split names for
+    ///   [`StepInput::node_scalar`];
+    /// - whatever cannot be resolved evaluates to `None`.
+    ///
+    /// The lowered form performs the same f64 operations in the same order
+    /// as the expression tree, so its values are bit-identical.
+    pub fn lower<'a>(
+        &'a self,
+        aggregate: &dyn Fn(&str, AggKind) -> Option<&'a [f32]>,
+        hyperparam: &dyn Fn(&str) -> Option<f64>,
+    ) -> LoweredEstimator<'a> {
+        LoweredEstimator {
+            exprs: self
+                .exprs
+                .iter()
+                .map(|e| lower_expr(e, aggregate, hyperparam))
+                .collect(),
+            combine: self.combine,
+            multiply_by_degree: self.multiply_by_degree,
         }
-        let mut out = acc?;
-        if self.combine == Combine::Mean && !self.exprs.is_empty() {
-            out /= self.exprs.len() as f64;
-        }
-        if self.multiply_by_degree {
-            out *= env.var("deg")?;
-        }
-        Some(out)
     }
 
     /// Pretty-prints the estimator body in the Fig. 9d style.
@@ -259,48 +271,127 @@ fn rebind(e: &Expr, kind: AggKind, preprocess: &mut Vec<PreprocessRequest>) -> O
     }
 }
 
-fn eval_expr(e: &Expr, env: &dyn EstimatorEnv) -> Option<f64> {
+/// An [`Estimator`] lowered for one launch by [`Estimator::lower`].
+#[derive(Debug, Clone)]
+pub struct LoweredEstimator<'a> {
+    exprs: Vec<Slot<'a>>,
+    combine: Combine,
+    multiply_by_degree: bool,
+}
+
+impl LoweredEstimator<'_> {
+    /// Evaluates the estimator at one walk step.
+    ///
+    /// Returns `None` if a referenced aggregate/scalar is unavailable.
+    pub fn eval(&self, input: &impl StepInput) -> Option<f64> {
+        let mut acc: Option<f64> = None;
+        for e in &self.exprs {
+            let v = e.eval(input)?;
+            acc = Some(match (acc, self.combine) {
+                (None, _) => v,
+                (Some(a), Combine::Max) => a.max(v),
+                (Some(a), Combine::Mean) => a + v,
+            });
+        }
+        let mut out = acc?;
+        if self.combine == Combine::Mean && !self.exprs.is_empty() {
+            out /= self.exprs.len() as f64;
+        }
+        if self.multiply_by_degree {
+            out *= input.degree()?;
+        }
+        Some(out)
+    }
+}
+
+/// One node of a lowered estimator expression.
+#[derive(Debug, Clone)]
+enum Slot<'a> {
+    Const(f64),
+    /// A name nothing resolved: the estimate is unavailable.
+    Missing,
+    Degree,
+    Step,
+    /// A per-node aggregate table, read at the current node.
+    Aggregate(&'a [f32]),
+    NodeScalar(&'a str, &'a str),
+    Add(Box<Slot<'a>>, Box<Slot<'a>>),
+    Sub(Box<Slot<'a>>, Box<Slot<'a>>),
+    Mul(Box<Slot<'a>>, Box<Slot<'a>>),
+    Div(Box<Slot<'a>>, Box<Slot<'a>>),
+    Max(Box<Slot<'a>>, Box<Slot<'a>>),
+    Min(Box<Slot<'a>>, Box<Slot<'a>>),
+    Abs(Box<Slot<'a>>),
+    Neg(Box<Slot<'a>>),
+}
+
+impl Slot<'_> {
+    fn eval(&self, input: &impl StepInput) -> Option<f64> {
+        let pair = |a: &Slot, b: &Slot| Some((a.eval(input)?, b.eval(input)?));
+        match self {
+            Slot::Const(v) => Some(*v),
+            Slot::Missing => None,
+            Slot::Degree => input.degree(),
+            Slot::Step => input.step(),
+            Slot::Aggregate(table) => table.get(input.cur()?).map(|&x| f64::from(x)),
+            Slot::NodeScalar(array, index) => input.node_scalar(array, index),
+            Slot::Add(a, b) => pair(a, b).map(|(a, b)| a + b),
+            Slot::Sub(a, b) => pair(a, b).map(|(a, b)| a - b),
+            Slot::Mul(a, b) => pair(a, b).map(|(a, b)| a * b),
+            Slot::Div(a, b) => pair(a, b).map(|(a, b)| a / b),
+            Slot::Max(a, b) => pair(a, b).map(|(a, b)| a.max(b)),
+            Slot::Min(a, b) => pair(a, b).map(|(a, b)| a.min(b)),
+            Slot::Abs(a) => a.eval(input).map(f64::abs),
+            Slot::Neg(a) => a.eval(input).map(|a| -a),
+        }
+    }
+}
+
+fn lower_expr<'a>(
+    e: &'a Expr,
+    aggregate: &dyn Fn(&str, AggKind) -> Option<&'a [f32]>,
+    hyperparam: &dyn Fn(&str) -> Option<f64>,
+) -> Slot<'a> {
+    let lower = |e: &'a Expr| Box::new(lower_expr(e, aggregate, hyperparam));
     match e {
-        Expr::Num(n) => Some(*n),
-        Expr::Var(v) => env.var(v),
+        Expr::Num(n) => Slot::Const(*n),
+        Expr::Var(v) => match v.as_str() {
+            "deg" => Slot::Degree,
+            "step" | "iter" => Slot::Step,
+            other => hyperparam(other).map_or(Slot::Missing, Slot::Const),
+        },
         Expr::Index { array, index } => {
-            let idx_name = match &**index {
-                Expr::Var(v) => v.as_str(),
-                _ => return None,
+            let Expr::Var(index) = &**index else {
+                return Slot::Missing;
             };
-            if let Some(base) = array.strip_suffix("_MAX") {
-                env.edge_aggregate(base, AggKind::Max)
+            let table = if let Some(base) = array.strip_suffix("_MAX") {
+                aggregate(base, AggKind::Max)
             } else if let Some(base) = array.strip_suffix("_SUM") {
-                env.edge_aggregate(base, AggKind::Sum)
+                aggregate(base, AggKind::Sum)
             } else {
-                env.node_scalar(array, idx_name)
-            }
+                return Slot::NodeScalar(array, index);
+            };
+            table.map_or(Slot::Missing, Slot::Aggregate)
         }
-        Expr::Call { name, args } => {
-            let vals: Option<Vec<f64>> = args.iter().map(|a| eval_expr(a, env)).collect();
-            let vals = vals?;
-            match (name.as_str(), vals.as_slice()) {
-                ("max", [a, b]) => Some(a.max(*b)),
-                ("min", [a, b]) => Some(a.min(*b)),
-                ("abs", [a]) => Some(a.abs()),
-                _ => None,
-            }
-        }
+        Expr::Call { name, args } => match (name.as_str(), args.as_slice()) {
+            ("max", [a, b]) => Slot::Max(lower(a), lower(b)),
+            ("min", [a, b]) => Slot::Min(lower(a), lower(b)),
+            ("abs", [a]) => Slot::Abs(lower(a)),
+            _ => Slot::Missing,
+        },
         Expr::Binary { op, lhs, rhs } => {
-            let a = eval_expr(lhs, env)?;
-            let b = eval_expr(rhs, env)?;
             use crate::ast::BinOp::*;
-            Some(match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => a / b,
-                _ => return None,
-            })
+            match op {
+                Add => Slot::Add(lower(lhs), lower(rhs)),
+                Sub => Slot::Sub(lower(lhs), lower(rhs)),
+                Mul => Slot::Mul(lower(lhs), lower(rhs)),
+                Div => Slot::Div(lower(lhs), lower(rhs)),
+                _ => Slot::Missing,
+            }
         }
         Expr::Unary { op, expr } => match op {
-            UnOp::Neg => Some(-eval_expr(expr, env)?),
-            UnOp::Not => None,
+            UnOp::Neg => Slot::Neg(lower(expr)),
+            UnOp::Not => Slot::Missing,
         },
     }
 }
@@ -338,8 +429,9 @@ mod tests {
     use crate::parser::parse_program;
     use std::collections::HashMap;
 
+    /// One-node walk state: every aggregate is a one-row table at node 0.
     struct TestEnv {
-        aggregates: HashMap<(String, &'static str), f64>,
+        aggregates: HashMap<(String, &'static str), f32>,
         scalars: HashMap<(String, String), f64>,
         vars: HashMap<String, f64>,
     }
@@ -352,23 +444,36 @@ mod tests {
                 vars: HashMap::new(),
             }
         }
+
+        fn eval(&self, est: &Estimator) -> Option<f64> {
+            let aggregate = |array: &str, kind: AggKind| {
+                let k = match kind {
+                    AggKind::Max => "max",
+                    AggKind::Sum => "sum",
+                };
+                self.aggregates
+                    .get(&(array.to_string(), k))
+                    .map(std::slice::from_ref)
+            };
+            est.lower(&aggregate, &|name| self.vars.get(name).copied())
+                .eval(self)
+        }
     }
 
-    impl EstimatorEnv for TestEnv {
-        fn edge_aggregate(&self, array: &str, kind: AggKind) -> Option<f64> {
-            let k = match kind {
-                AggKind::Max => "max",
-                AggKind::Sum => "sum",
-            };
-            self.aggregates.get(&(array.to_string(), k)).copied()
+    impl StepInput for TestEnv {
+        fn cur(&self) -> Option<usize> {
+            Some(0)
+        }
+        fn degree(&self) -> Option<f64> {
+            self.vars.get("deg").copied()
+        }
+        fn step(&self) -> Option<f64> {
+            self.vars.get("step").copied()
         }
         fn node_scalar(&self, array: &str, index: &str) -> Option<f64> {
             self.scalars
                 .get(&(array.to_string(), index.to_string()))
                 .copied()
-        }
-        fn var(&self, name: &str) -> Option<f64> {
-            self.vars.get(name).copied()
         }
     }
 
@@ -396,7 +501,7 @@ mod tests {
         let mut env = TestEnv::new();
         env.aggregates.insert(("h".into(), "max"), 7.0);
         env.aggregates.insert(("h".into(), "sum"), 20.0);
-        assert_eq!(c.max_estimator.eval(&env), Some(14.0));
+        assert_eq!(env.eval(&c.max_estimator), Some(14.0));
     }
 
     #[test]
@@ -406,7 +511,7 @@ mod tests {
         env.aggregates.insert(("h".into(), "max"), 7.0);
         env.aggregates.insert(("h".into(), "sum"), 21.0);
         // (21/2 + 21 + 21/0.5)/3 = (10.5 + 21 + 42)/3 = 24.5.
-        assert_eq!(c.sum_estimator.eval(&env), Some(24.5));
+        assert_eq!(env.eval(&c.sum_estimator), Some(24.5));
     }
 
     #[test]
@@ -438,9 +543,9 @@ mod tests {
         let mut env = TestEnv::new();
         env.vars.insert("deg".into(), 10.0);
         // mean(0.5, 1.0) * 10 = 7.5.
-        assert_eq!(c.sum_estimator.eval(&env), Some(7.5));
+        assert_eq!(env.eval(&c.sum_estimator), Some(7.5));
         // Max needs no runtime data at all.
-        assert_eq!(c.max_estimator.eval(&env), Some(1.0));
+        assert_eq!(env.eval(&c.max_estimator), Some(1.0));
     }
 
     #[test]
@@ -460,7 +565,7 @@ mod tests {
         env.scalars.insert(("deg".into(), "cur".into()), 4.0);
         env.scalars.insert(("deg".into(), "prev".into()), 8.0);
         // Path 1: 0.8/4*8*2 = 3.2; path 2: 0.2/4*8*2 = 0.8 → max 3.2.
-        let v = c.max_estimator.eval(&env).unwrap();
+        let v = env.eval(&c.max_estimator).unwrap();
         assert!((v - 3.2).abs() < 1e-9, "v = {v}");
     }
 
@@ -468,7 +573,7 @@ mod tests {
     fn estimation_fails_gracefully_without_aggregates() {
         let c = compile_paths(N2V, &[("a", 2.0), ("b", 0.5)]);
         let env = TestEnv::new();
-        assert_eq!(c.max_estimator.eval(&env), None);
+        assert_eq!(env.eval(&c.max_estimator), None);
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub use analysis::{
     enumerate_paths, references, validate, BoundGranularity, PathInfo, RefInfo, Validation,
 };
 pub use ast::{BinOp, Expr, Program, Stmt, UnOp};
-pub use codegen::{AggKind, CompiledWalk, Estimator, EstimatorEnv, PreprocessRequest};
+pub use codegen::{
+    AggKind, CompiledWalk, Estimator, LoweredEstimator, PreprocessRequest, StepInput,
+};
 pub use interp::{interpret, interpret_f32, interpret_with, InterpEnv, Precision};
 pub use parser::parse_program;
 

@@ -8,7 +8,8 @@
 //! builds offline with zero external dependencies.
 
 use flexi_compiler::{
-    compile, interpret, parse_program, AggKind, CompileOutcome, EstimatorEnv, InterpEnv, WalkSpec,
+    compile, interpret, parse_program, AggKind, CompileOutcome, Estimator, InterpEnv, StepInput,
+    WalkSpec,
 };
 use flexi_rng::SplitMix64;
 
@@ -61,10 +62,12 @@ impl RandomProgram {
     }
 }
 
+/// Edge properties are f32 in the graph and in the aggregate tables the
+/// estimators read, so the generated values are f32-representable.
 fn random_h(g: &mut SplitMix64) -> Vec<f64> {
     let len = 1 + g.bounded(39) as usize;
     (0..len)
-        .map(|_| (g.bounded(100_000) as f64) / 1000.0)
+        .map(|_| f64::from(g.bounded(100_000) as f32 / 1000.0))
         .collect()
 }
 
@@ -92,24 +95,45 @@ impl InterpEnv for Env {
     }
 }
 
+/// One-node aggregate tables for `h` and the node's degree.
 struct AggEnv {
-    h_max: f64,
-    h_sum: f64,
+    h_max: [f32; 1],
+    h_sum: [f32; 1],
     deg: f64,
 }
 
-impl EstimatorEnv for AggEnv {
-    fn edge_aggregate(&self, array: &str, kind: AggKind) -> Option<f64> {
-        (array == "h").then_some(match kind {
-            AggKind::Max => self.h_max,
-            AggKind::Sum => self.h_sum,
-        })
+impl AggEnv {
+    fn new(h_max: f64, h_sum: f64, deg: f64) -> Self {
+        Self {
+            h_max: [h_max as f32],
+            h_sum: [h_sum as f32],
+            deg,
+        }
+    }
+
+    fn eval(&self, est: &Estimator) -> Option<f64> {
+        let aggregate = |array: &str, kind: AggKind| {
+            (array == "h").then_some(match kind {
+                AggKind::Max => &self.h_max[..],
+                AggKind::Sum => &self.h_sum[..],
+            })
+        };
+        est.lower(&aggregate, &|_| None).eval(self)
+    }
+}
+
+impl StepInput for AggEnv {
+    fn cur(&self) -> Option<usize> {
+        Some(0)
+    }
+    fn degree(&self) -> Option<f64> {
+        Some(self.deg)
+    }
+    fn step(&self) -> Option<f64> {
+        None
     }
     fn node_scalar(&self, _: &str, _: &str) -> Option<f64> {
         None
-    }
-    fn var(&self, name: &str) -> Option<f64> {
-        (name == "deg").then_some(self.deg)
     }
 }
 
@@ -131,12 +155,8 @@ fn derived_bound_dominates_interpreted_weights() {
         };
         let h_max = h.iter().copied().fold(0.0f64, f64::max);
         let h_sum: f64 = h.iter().sum();
-        let agg = AggEnv {
-            h_max,
-            h_sum,
-            deg: h.len() as f64,
-        };
-        let bound = compiled.max_estimator.eval(&agg).expect("estimable");
+        let agg = AggEnv::new(h_max, h_sum, h.len() as f64);
+        let bound = agg.eval(&compiled.max_estimator).expect("estimable");
 
         let parsed = parse_program(&spec.source).unwrap();
         for edge in 0..h.len() {
@@ -210,14 +230,9 @@ fn hyperparameter_folding_is_transparent() {
             hyperparams: vec![],
         };
         let eval = |spec: &WalkSpec| match compile(spec).unwrap() {
-            CompileOutcome::Supported(c) => {
-                let agg = AggEnv {
-                    h_max,
-                    h_sum: h_max,
-                    deg: 1.0,
-                };
-                c.max_estimator.eval(&agg).unwrap()
-            }
+            CompileOutcome::Supported(c) => AggEnv::new(h_max, h_max, 1.0)
+                .eval(&c.max_estimator)
+                .unwrap(),
             CompileOutcome::Fallback { .. } => panic!("fallback"),
         };
         let a = eval(&symbolic);

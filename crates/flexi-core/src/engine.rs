@@ -23,10 +23,10 @@
 use crate::preprocess::Aggregates;
 use crate::profile::{run_profile, ProfileResult};
 use crate::queue::QueryQueue;
-use crate::runtime::{ChurnProfile, CostModel, RuntimeEnv, SelectionStrategy};
+use crate::runtime::{lower_estimator, ChurnProfile, CostModel, RuntimeEnv, SelectionStrategy};
 use crate::walker::{CompiledWalker, IntoWalker, WalkerHandle, WalkerRegistry};
 use crate::workload::{DynamicWalk, WalkState};
-use flexi_compiler::CompiledWalk;
+use flexi_compiler::{BoundGranularity, CompiledWalk, LoweredEstimator};
 use flexi_gpu_sim::{CostStats, Device, DeviceSpec, WarpCtx, WARP_SIZE};
 use flexi_graph::{
     Csr, DynState, EdgeId, GraphHandle, GraphSnapshot, GraphVersion, NodeId, PlanFetch,
@@ -883,8 +883,15 @@ impl FlexiWalkerEngine {
             .collect();
 
         let kernel_cfg = WarpKernelCfg {
-            compiled: prepared.artifacts.compiled.as_ref(),
-            aggregates: &prepared.aggregates,
+            estimators: prepared
+                .artifacts
+                .compiled
+                .as_ref()
+                .map(|c| LaunchEstimators {
+                    per_step: c.flag == BoundGranularity::PerStep,
+                    max: lower_estimator(&c.max_estimator, &prepared.aggregates, w),
+                    sum: lower_estimator(&c.sum_estimator, &prepared.aggregates, w),
+                }),
             candidates,
             strategy,
             cost_model,
@@ -1104,10 +1111,20 @@ impl StateMaintainer for SamplerStateMaintainer {
     }
 }
 
+/// The compiled `get_weight_max()` / `get_weight_sum()` pair, lowered once
+/// per launch against its aggregates and hyperparameters.
+struct LaunchEstimators<'a> {
+    /// The §4.2 flag: PER_STEP estimators read per-node aggregates;
+    /// PER_KERNEL ones are constants evaluated once per warp.
+    per_step: bool,
+    max: LoweredEstimator<'a>,
+    sum: LoweredEstimator<'a>,
+}
+
 /// Launch-invariant parameters of the §5.2 warp kernel.
 struct WarpKernelCfg<'a> {
-    compiled: Option<&'a CompiledWalk>,
-    aggregates: &'a Aggregates,
+    /// `None` when the walker has no estimator (reservoir-only fallback).
+    estimators: Option<LaunchEstimators<'a>>,
     /// Strategies selectable this run, in registry priority order
     /// (bound-needing strategies are excluded when no estimator exists).
     candidates: Vec<Candidate>,
@@ -1151,18 +1168,16 @@ fn walk_warp(
     // evaluate the (max, sum) pair once and let every step's cost-model
     // selection — and the eRJS bound — reuse the registers instead of
     // re-walking the estimator tree per lane per step.
-    let per_kernel_ests: Option<(Option<f64>, Option<f64>)> = kc.compiled.and_then(|c| {
-        (c.flag == flexi_compiler::BoundGranularity::PerKernel).then(|| {
+    let per_kernel_ests: Option<(Option<f64>, Option<f64>)> =
+        kc.estimators.as_ref().filter(|e| !e.per_step).map(|e| {
             let env = RuntimeEnv {
                 graph: g,
-                aggregates: kc.aggregates,
                 workload: w,
                 state: WalkState::start(0),
             };
             ctx.alu(4);
-            (c.max_estimator.eval(&env), c.sum_estimator.eval(&env))
-        })
-    });
+            (e.max.eval(&env), e.sum.eval(&env))
+        });
     let per_kernel_bound: Option<f64> = per_kernel_ests.and_then(|(max, _)| max);
 
     loop {
@@ -1198,6 +1213,9 @@ fn walk_warp(
         // Retire finished walks, hoist each survivor's adjacency row and
         // pick a sampler for the rest.
         let mut choice: [Option<usize>; WARP_SIZE] = [None; WARP_SIZE];
+        // The PER_STEP max estimate selection evaluated for a lane this
+        // step, if it did; the eRJS bound reuses it.
+        let mut step_max: [Option<Option<f64>>; WARP_SIZE] = [None; WARP_SIZE];
         for &l in &active {
             let range = g.edge_range(lanes.state[l].cur);
             let deg = range.len();
@@ -1209,7 +1227,17 @@ fn walk_warp(
             lanes.row_len[l] = deg;
             let state = lanes.state[l];
             ctx.bind_stream(lanes.rng[l].clone());
-            choice[l] = select_sampler(ctx, l, deg, g, w, kc, per_kernel_ests, &state);
+            choice[l] = select_sampler(
+                ctx,
+                l,
+                deg,
+                g,
+                w,
+                kc,
+                per_kernel_ests,
+                &state,
+                &mut step_max[l],
+            );
             lanes.rng[l] = ctx.unbind_stream();
             if choice[l].is_none() {
                 // No runnable strategy at this node (e.g. every candidate
@@ -1254,6 +1282,7 @@ fn walk_warp(
                     kc,
                     &state,
                     per_kernel_bound,
+                    step_max[l],
                     lanes.row_start[l],
                     lanes.row_len[l],
                     bytes_per_weight,
@@ -1422,7 +1451,8 @@ fn advance_lane(
 /// position of the chosen strategy in the run's candidate set. `deg` is
 /// the lane's hoisted current-node degree; `per_kernel_ests` is the
 /// kernel-start (max, sum) estimator pair when the bound granularity is
-/// PER_KERNEL (state-independent, so every step reuses it).
+/// PER_KERNEL (state-independent, so every step reuses it). A PER_STEP max
+/// estimate evaluated here is left in `step_max` for the eRJS bound.
 #[allow(clippy::too_many_arguments)]
 fn select_sampler(
     ctx: &mut WarpCtx,
@@ -1433,6 +1463,7 @@ fn select_sampler(
     kc: &WarpKernelCfg<'_>,
     per_kernel_ests: Option<(Option<f64>, Option<f64>)>,
     state: &WalkState,
+    step_max: &mut Option<Option<f64>>,
 ) -> Option<usize> {
     match kc.strategy {
         SelectionStrategy::Only(id) => kc.candidates.iter().position(|c| c.sampler.id() == id),
@@ -1460,16 +1491,13 @@ fn select_sampler(
         }
         SelectionStrategy::CostModel => {
             let deg = deg as f64;
-            let (max_est, sum_est) = match kc.compiled {
+            let (max_est, sum_est) = match (per_kernel_ests, &kc.estimators) {
                 // PER_KERNEL estimators were evaluated once at kernel
                 // start — register-resident constants by §4.2, free here.
-                Some(_) if per_kernel_ests.is_some() => {
-                    per_kernel_ests.expect("guarded by is_some")
-                }
-                Some(c) => {
+                (Some(ests), _) => ests,
+                (None, Some(e)) => {
                     let env = RuntimeEnv {
                         graph: g,
-                        aggregates: kc.aggregates,
                         workload: w,
                         state: *state,
                     };
@@ -1477,9 +1505,11 @@ fn select_sampler(
                     // (h_MAX, h_SUM) at the lane's current node.
                     ctx.read_random(4);
                     ctx.read_random(4);
-                    (c.max_estimator.eval(&env), c.sum_estimator.eval(&env))
+                    let max = e.max.eval(&env);
+                    *step_max = Some(max);
+                    (max, e.sum.eval(&env))
                 }
-                None => (None, None),
+                (None, None) => (None, None),
             };
             ctx.alu(3 * kc.candidates.len().max(1) as u64);
             // The generalised Eq. 11 argmin, priced per candidate: a
@@ -1504,10 +1534,13 @@ fn select_sampler(
     }
 }
 
-/// The eRJS upper bound for the lane's current node (§3.3). `row_start`,
-/// `row_len` and `bytes_per_weight` are the kernel's hoisted invariants,
-/// reused by the no-estimator fallback's exact max reduction, which reads
-/// the warp's scratch `row`.
+/// The eRJS upper bound for the lane's current node (§3.3). `step_max` is
+/// the max estimate selection already evaluated for this lane-step, if
+/// any; the bound still charges its aggregate read either way, so reusing
+/// it leaves the simulated clock unchanged. `row_start`, `row_len` and
+/// `bytes_per_weight` are the kernel's hoisted invariants, reused by the
+/// no-estimator fallback's exact max reduction, which reads the warp's
+/// scratch `row`.
 #[allow(clippy::too_many_arguments)]
 fn rjs_bound(
     ctx: &mut WarpCtx,
@@ -1516,6 +1549,7 @@ fn rjs_bound(
     kc: &WarpKernelCfg<'_>,
     state: &WalkState,
     per_kernel_bound: Option<f64>,
+    step_max: Option<Option<f64>>,
     row_start: EdgeId,
     row_len: usize,
     bytes_per_weight: usize,
@@ -1527,20 +1561,21 @@ fn rjs_bound(
     if let Some(b) = per_kernel_bound {
         return Some((b * SLACK) as f32);
     }
-    if let Some(c) = kc.compiled {
-        let env = RuntimeEnv {
-            graph: g,
-            aggregates: kc.aggregates,
-            workload: w,
-            state: *state,
-        };
+    if let Some(e) = &kc.estimators {
         // PER_STEP bounds read h_MAX[cur]; the estimator arithmetic is a
         // handful of register ops either way.
-        if c.flag == flexi_compiler::BoundGranularity::PerStep {
+        if e.per_step {
             ctx.read_random(4);
         }
         ctx.alu(4);
-        if let Some(b) = c.max_estimator.eval(&env) {
+        let max = step_max.unwrap_or_else(|| {
+            e.max.eval(&RuntimeEnv {
+                graph: g,
+                workload: w,
+                state: *state,
+            })
+        });
+        if let Some(b) = max {
             return Some((b * SLACK) as f32);
         }
     }

@@ -153,13 +153,21 @@ impl Aggregates {
             })
     }
 
-    /// Aggregate lookup for node `v`.
-    pub fn get(&self, array: &str, kind: AggKind, v: u32) -> Option<f64> {
+    /// The per-node table of one aggregate, indexed by node id. Estimator
+    /// lowering binds it once per launch; `None` if the aggregate was not
+    /// preprocessed.
+    pub fn table(&self, array: &str, kind: AggKind) -> Option<&[f32]> {
         let t = self.tables.get(array)?;
-        let x = match kind {
-            AggKind::Max => t.max.get(v as usize)?,
-            AggKind::Sum => t.sum.get(v as usize)?,
-        };
+        Some(match kind {
+            AggKind::Max => &t.max,
+            AggKind::Sum => &t.sum,
+        })
+    }
+
+    /// Aggregate lookup for node `v`.
+    #[cfg(test)]
+    fn get(&self, array: &str, kind: AggKind, v: u32) -> Option<f64> {
+        let x = self.table(array, kind)?.get(v as usize)?;
         Some(f64::from(*x))
     }
 

@@ -20,7 +20,7 @@
 
 use crate::preprocess::Aggregates;
 use crate::workload::{DynamicWalk, WalkState};
-use flexi_compiler::{AggKind, EstimatorEnv};
+use flexi_compiler::{Estimator, LoweredEstimator, StepInput};
 use flexi_graph::Csr;
 use flexi_sampling::{ids, CostInputs, Sampler, SamplerId, SamplerRegistry};
 use std::sync::Arc;
@@ -266,35 +266,47 @@ impl CostModel {
     }
 }
 
-/// Estimator environment bridging graph, aggregates, workload and walker
-/// state — the values `get_weight_max()/_sum()` read at runtime.
+/// Lowers a compiled estimator for one launch: aggregate names bind to
+/// `aggregates`' tables and hyperparameters to `workload`'s values, so a
+/// step evaluates it against a [`RuntimeEnv`] with arithmetic alone.
+pub fn lower_estimator<'a>(
+    est: &'a Estimator,
+    aggregates: &'a Aggregates,
+    workload: &dyn DynamicWalk,
+) -> LoweredEstimator<'a> {
+    est.lower(&|array, kind| aggregates.table(array, kind), &|name| {
+        workload.hyperparam(name)
+    })
+}
+
+/// The per-step input of a lowered estimator: the graph, the workload
+/// (for node scalars such as `deg[prev]` or `schema[step]`) and the
+/// walker's state.
 pub struct RuntimeEnv<'a> {
     /// Graph being walked.
     pub graph: &'a Csr,
-    /// Preprocessed `_MAX` / `_SUM` aggregates.
-    pub aggregates: &'a Aggregates,
-    /// The workload (hyperparameters, schema lookups).
+    /// The workload (node-scalar lookups).
     pub workload: &'a dyn DynamicWalk,
     /// Current walker state.
     pub state: WalkState,
 }
 
-impl EstimatorEnv for RuntimeEnv<'_> {
-    fn edge_aggregate(&self, array: &str, kind: AggKind) -> Option<f64> {
-        self.aggregates.get(array, kind, self.state.cur)
+impl StepInput for RuntimeEnv<'_> {
+    fn cur(&self) -> Option<usize> {
+        Some(self.state.cur as usize)
+    }
+
+    fn degree(&self) -> Option<f64> {
+        Some(self.graph.degree(self.state.cur) as f64)
+    }
+
+    fn step(&self) -> Option<f64> {
+        Some(self.state.step as f64)
     }
 
     fn node_scalar(&self, array: &str, index: &str) -> Option<f64> {
         self.workload
             .env_scalar(self.graph, &self.state, array, index)
-    }
-
-    fn var(&self, name: &str) -> Option<f64> {
-        match name {
-            "deg" => Some(self.graph.degree(self.state.cur) as f64),
-            "step" | "iter" => Some(self.state.step as f64),
-            other => self.workload.hyperparam(other),
-        }
     }
 }
 
@@ -302,7 +314,7 @@ impl EstimatorEnv for RuntimeEnv<'_> {
 mod tests {
     use super::*;
     use crate::workload::Node2Vec;
-    use flexi_compiler::PreprocessRequest;
+    use flexi_compiler::{AggKind, PreprocessRequest};
     use flexi_gpu_sim::DeviceSpec;
     use flexi_graph::CsrBuilder;
     use flexi_sampling::Granularity;
@@ -482,6 +494,7 @@ mod tests {
 
     #[test]
     fn runtime_env_resolves_all_value_classes() {
+        use flexi_compiler::{codegen::Combine, parser::parse_expr};
         let g = CsrBuilder::new(2)
             .weighted_edge(0, 1, 3.0)
             .weighted_edge(0, 0, 5.0)
@@ -496,17 +509,24 @@ mod tests {
         let w = Node2Vec::paper(true);
         let env = RuntimeEnv {
             graph: &g,
-            aggregates: &agg,
             workload: &w,
             state: WalkState::start(0),
         };
-        assert_eq!(env.edge_aggregate("h", AggKind::Max), Some(5.0));
-        assert_eq!(env.edge_aggregate("h", AggKind::Sum), Some(8.0));
-        assert_eq!(env.node_scalar("deg", "cur"), Some(2.0));
-        assert_eq!(env.var("deg"), Some(2.0));
-        assert_eq!(env.var("step"), Some(0.0));
-        assert_eq!(env.var("a"), Some(2.0));
-        assert_eq!(env.var("nonsense"), None);
+        let eval = |src: &str| {
+            let est = Estimator {
+                exprs: vec![parse_expr(src).unwrap()],
+                combine: Combine::Max,
+                multiply_by_degree: false,
+            };
+            lower_estimator(&est, &agg, &w).eval(&env)
+        };
+        assert_eq!(eval("h_MAX[cur]"), Some(5.0));
+        assert_eq!(eval("h_SUM[cur]"), Some(8.0));
+        assert_eq!(eval("deg[cur]"), Some(2.0));
+        assert_eq!(eval("deg"), Some(2.0));
+        assert_eq!(eval("step"), Some(0.0));
+        assert_eq!(eval("a"), Some(2.0));
+        assert_eq!(eval("nonsense"), None);
     }
 
     #[test]
@@ -528,6 +548,7 @@ mod tests {
             _ => panic!("node2vec must compile"),
         };
         let agg = Aggregates::compute(&g, &compiled.preprocess, &DeviceSpec::tiny());
+        let max_estimator = lower_estimator(&compiled.max_estimator, &agg, &w);
         for prev in [None, Some(1u32), Some(2u32)] {
             let state = WalkState {
                 cur: 0,
@@ -537,11 +558,10 @@ mod tests {
             };
             let env = RuntimeEnv {
                 graph: &g,
-                aggregates: &agg,
                 workload: &w,
                 state,
             };
-            let bound = compiled.max_estimator.eval(&env).unwrap();
+            let bound = max_estimator.eval(&env).unwrap();
             for e in g.edge_range(0) {
                 let actual = f64::from(w.weight(&g, &state, e));
                 assert!(

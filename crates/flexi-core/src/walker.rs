@@ -36,8 +36,8 @@ use crate::workload::{
     UniformWalk, WalkState,
 };
 use flexi_compiler::{
-    compile, interpret_f32, parse_program, references, BoundGranularity, CompileOutcome,
-    EstimatorEnv, InterpEnv, Program, RefInfo, WalkSpec,
+    compile, interpret_f32, parse_program, references, BoundGranularity, CompileOutcome, InterpEnv,
+    Program, RefInfo, StepInput, WalkSpec,
 };
 use flexi_graph::{Csr, EdgeId};
 use std::collections::hash_map::DefaultHasher;
@@ -403,15 +403,20 @@ pub(crate) fn compile_spec(spec: &WalkSpec) -> CompiledArtifacts {
 /// known max transition weight (the generalisation of the old
 /// `static_max_bound` name-matching table).
 fn derive_static_bound(artifacts: &CompiledArtifacts) -> Option<f32> {
-    struct NoEnv;
-    impl EstimatorEnv for NoEnv {
-        fn edge_aggregate(&self, _: &str, _: flexi_compiler::AggKind) -> Option<f64> {
+    /// No walk state, no aggregates, no hyperparameters: only constants
+    /// evaluate.
+    struct NoStep;
+    impl StepInput for NoStep {
+        fn cur(&self) -> Option<usize> {
+            None
+        }
+        fn degree(&self) -> Option<f64> {
+            None
+        }
+        fn step(&self) -> Option<f64> {
             None
         }
         fn node_scalar(&self, _: &str, _: &str) -> Option<f64> {
-            None
-        }
-        fn var(&self, _: &str) -> Option<f64> {
             None
         }
     }
@@ -419,7 +424,10 @@ fn derive_static_bound(artifacts: &CompiledArtifacts) -> Option<f32> {
     if c.flag != BoundGranularity::PerKernel {
         return None;
     }
-    c.max_estimator.eval(&NoEnv).map(|b| b as f32)
+    c.max_estimator
+        .lower(&|_, _| None, &|_| None)
+        .eval(&NoStep)
+        .map(|b| b as f32)
 }
 
 /// Whether a walker's transition weights are a pure function of the edge —

@@ -178,8 +178,16 @@ impl Device {
     }
 
     /// Launches `kernel` over `num_warps` warps using `host_threads` OS
-    /// threads. Outputs and costs are identical to [`Device::launch`]; only
-    /// wall-clock time differs.
+    /// threads.
+    ///
+    /// A kernel whose warps share no state gets the outputs, costs and
+    /// cycles of [`Device::launch`]. A persistent kernel whose warps pop
+    /// work from a shared queue does not: which warp pops which item
+    /// depends on thread timing, so per-warp [`CostStats`] (atomics and
+    /// shuffles included) and the makespan in simulated seconds vary from
+    /// run to run and with the thread count. Its per-item outputs, such as
+    /// walk paths and step counts, still match. The ROADMAP item "one
+    /// deterministic device clock" tracks the fix.
     pub fn launch_parallel<T, F>(
         &self,
         num_warps: usize,

@@ -4,7 +4,7 @@
 
 use flexiwalker::compiler::{compile, CompileOutcome};
 use flexiwalker::core::preprocess::Aggregates;
-use flexiwalker::core::runtime::RuntimeEnv;
+use flexiwalker::core::runtime::{lower_estimator, RuntimeEnv};
 use flexiwalker::graph::dynamic::{DynamicGraph, GraphUpdate};
 use flexiwalker::prelude::*;
 use flexiwalker::sampling::stat;
@@ -47,6 +47,7 @@ fn bound_stays_sound_across_updates_and_refreshes() {
 
         // Soundness: the estimator bound dominates every actual weight.
         let g = dg.graph();
+        let max_estimator = lower_estimator(&compiled.max_estimator, &agg, &w);
         for cur in (0..g.num_nodes() as u32).step_by(13) {
             if g.degree(cur) == 0 {
                 continue;
@@ -59,11 +60,10 @@ fn bound_stays_sound_across_updates_and_refreshes() {
             };
             let env = RuntimeEnv {
                 graph: g,
-                aggregates: &agg,
                 workload: &w,
                 state,
             };
-            let bound = compiled.max_estimator.eval(&env).expect("estimable");
+            let bound = max_estimator.eval(&env).expect("estimable");
             for e in g.edge_range(cur) {
                 let actual = f64::from(w.weight(g, &state, e));
                 assert!(
@@ -100,11 +100,12 @@ fn stale_aggregates_are_actually_stale_without_refresh() {
     };
     let env = RuntimeEnv {
         graph: dg.graph(),
-        aggregates: &agg,
         workload: &w,
         state,
     };
-    let stale_bound = compiled.max_estimator.eval(&env).unwrap();
+    let stale_bound = lower_estimator(&compiled.max_estimator, &agg, &w)
+        .eval(&env)
+        .unwrap();
     let actual = f64::from(w.weight(dg.graph(), &state, 0));
     assert!(
         stale_bound < actual,
