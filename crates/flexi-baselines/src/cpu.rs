@@ -7,7 +7,8 @@
 
 use flexi_core::energy::{CPU_LOAD_WATTS, CPU_OOC_WATTS};
 use flexi_core::{
-    CompiledWalker, EngineError, RunReport, SamplerTally, WalkEngine, WalkRequest, WalkState,
+    CompiledWalker, EngineError, RowScratch, RunReport, SamplerTally, WalkEngine, WalkRequest,
+    WalkState,
 };
 use flexi_gpu_sim::CostStats;
 use flexi_rng::Xoshiro256pp;
@@ -104,6 +105,8 @@ fn cpu_run(
     req: &WalkRequest,
     watts: f64,
 ) -> Result<RunReport, EngineError> {
+    // The scalar step loop neither masks nor moves a walk clock.
+    req.require_untimed()?;
     let snap = req.snapshot();
     let g: &flexi_graph::Csr = &snap.graph;
     let w = req.walker.get()?.walk_dyn();
@@ -115,7 +118,7 @@ fn cpu_run(
     let mut steps_taken = 0u64;
     let mut paths = cfg.record_paths.then(|| vec![Vec::new(); queries.len()]);
     let base = Xoshiro256pp::new(cfg.seed ^ 0xC0FE);
-    let mut weights_buf: Vec<f32> = Vec::new();
+    let mut scratch = RowScratch::default();
 
     for (qi, &start) in queries.iter().enumerate() {
         let mut rng = base.nth_jump(qi % 64);
@@ -139,9 +142,9 @@ fn cpu_run(
             }
             let picked = match sampler {
                 CpuSampler::Its => {
-                    w.fill_row(g, &st, range.clone(), &mut weights_buf);
+                    w.fill_row(g, &st, range.clone(), &mut scratch);
                     total.weight_evals += deg as u64;
-                    let (p, c) = sample_its(&weights_buf, &mut rng);
+                    let (p, c) = sample_its(&scratch.weights, &mut rng);
                     total.add(&c);
                     p
                 }
@@ -156,14 +159,14 @@ fn cpu_run(
                     p
                 }
                 CpuSampler::RjsExactMax => {
-                    w.fill_row(g, &st, range.clone(), &mut weights_buf);
+                    w.fill_row(g, &st, range.clone(), &mut scratch);
                     total.weight_evals += deg as u64;
-                    let (mx, c1) = exact_max(&weights_buf);
+                    let (mx, c1) = exact_max(&scratch.weights);
                     total.add(&c1);
                     if mx <= 0.0 {
                         None
                     } else {
-                        let (p, c2) = sample_rejection(&weights_buf, mx, &mut rng);
+                        let (p, c2) = sample_rejection(&scratch.weights, mx, &mut rng);
                         total.add(&c2);
                         p
                     }

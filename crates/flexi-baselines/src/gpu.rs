@@ -86,6 +86,8 @@ impl GpuBaseline {
     }
 
     fn run_impl(&self, req: &WalkRequest) -> Result<RunReport, EngineError> {
+        // `baseline_warp` neither masks nor moves a walk clock.
+        req.require_untimed()?;
         let snap = req.snapshot();
         let g: &Csr = &snap.graph;
         let walker = req.walker.get()?;

@@ -51,6 +51,12 @@ impl RefInfo {
             || self.frees.contains("has_prev")
             || self.calls.contains("linked")
     }
+
+    /// Whether the program reads an edge timestamp (`edge_time`) or the
+    /// walk clock (`walk_time`).
+    pub fn reads_time(&self) -> bool {
+        self.frees.contains("edge_time") || self.frees.contains("walk_time")
+    }
 }
 
 /// Collects every environment reference of `p` (arrays, calls, free

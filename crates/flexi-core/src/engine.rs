@@ -25,7 +25,7 @@ use crate::profile::{run_profile, ProfileResult};
 use crate::queue::QueryQueue;
 use crate::runtime::{lower_estimator, ChurnProfile, CostModel, RuntimeEnv, SelectionStrategy};
 use crate::walker::{CompiledWalker, IntoWalker, WalkerHandle, WalkerRegistry};
-use crate::workload::{DynamicWalk, WalkState};
+use crate::workload::{DynamicWalk, RowScratch, WalkState};
 use flexi_compiler::{BoundGranularity, CompiledWalk, LoweredEstimator};
 use flexi_gpu_sim::{CostStats, Device, DeviceSpec, WarpCtx, WARP_SIZE};
 use flexi_graph::{
@@ -237,6 +237,28 @@ impl WalkRequest {
     pub fn window(mut self, window: TimeWindow) -> Self {
         self.window = Some(window);
         self
+    }
+
+    /// Refuses what a step loop without a time mask or a walk clock would
+    /// walk wrong: a request with a time window, or a walker that reads
+    /// `edge_time` / `walk_time` ([`CompiledWalker::reads_time`]). Engines
+    /// with such a loop call this first instead of returning paths over
+    /// edges outside the window or behind the clock.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Unsupported`] for either case, and
+    /// [`EngineError::UnknownWalker`] for an unresolved walker name.
+    pub fn require_untimed(&self) -> Result<(), EngineError> {
+        if self.window.is_some() {
+            return Err(EngineError::Unsupported("time windows"));
+        }
+        if self.walker.get()?.reads_time() {
+            return Err(EngineError::Unsupported(
+                "walkers that read edge timestamps or the walk clock",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1075,13 +1097,12 @@ struct SamplerStateMaintainer {
 }
 
 impl SamplerStateMaintainer {
-    fn node_state(&self, g: &Csr, v: NodeId) -> Option<NodeState> {
+    fn node_state(&self, g: &Csr, v: NodeId, scratch: &mut RowScratch) -> Option<NodeState> {
         // Eligibility (CompiledWalker::static_weights) guarantees the
         // weight ignores everything in the start state but the edge.
-        let mut weights = Vec::new();
         self.walk
-            .fill_row(g, &WalkState::start(v), g.edge_range(v), &mut weights);
-        self.sampler.build_node_state(&weights)
+            .fill_row(g, &WalkState::start(v), g.edge_range(v), scratch);
+        self.sampler.build_node_state(&scratch.weights)
     }
 }
 
@@ -1091,8 +1112,9 @@ impl StateMaintainer for SamplerStateMaintainer {
     }
 
     fn build(&self, graph: &Csr) -> DynState {
+        let mut scratch = RowScratch::default();
         let nodes = (0..graph.num_nodes() as u32)
-            .map(|v| self.node_state(graph, v).map(Arc::new))
+            .map(|v| self.node_state(graph, v, &mut scratch).map(Arc::new))
             .collect();
         Arc::new(StateTable::new(nodes))
     }
@@ -1101,11 +1123,12 @@ impl StateMaintainer for SamplerStateMaintainer {
         let table = prev
             .downcast_ref::<StateTable>()
             .expect("state slot holds this maintainer's table");
+        let mut scratch = RowScratch::default();
         Arc::new(
             table.patched(
                 dirty
                     .iter()
-                    .map(|&v| (v as usize, self.node_state(graph, v))),
+                    .map(|&v| (v as usize, self.node_state(graph, v, &mut scratch))),
             ),
         )
     }
@@ -1160,9 +1183,9 @@ fn walk_warp(
     // each refill, pruned after retire/select, so the per-phase loops
     // visit only live work instead of scanning all `WARP_SIZE` slots.
     let mut active: Vec<usize> = Vec::with_capacity(WARP_SIZE);
-    // One weight row per warp, refilled by every warp-granular step and
+    // One row scratch per warp, refilled by every warp-granular step and
     // exact max reduction, so the hot loop allocates nothing per step.
-    let mut row: Vec<f32> = Vec::new();
+    let mut scratch = RowScratch::default();
 
     // PER_KERNEL estimators are state-independent (§4.2 flag semantics):
     // evaluate the (max, sum) pair once and let every step's cost-model
@@ -1286,7 +1309,7 @@ fn walk_warp(
                     lanes.row_start[l],
                     lanes.row_len[l],
                     bytes_per_weight,
-                    &mut row,
+                    &mut scratch,
                 )
             } else {
                 None
@@ -1328,7 +1351,7 @@ fn walk_warp(
                 ctx.shfl(&dummy, l); // Broadcast target node.
                 ctx.shfl(&dummy, l); // Broadcast step/query id.
                 fill_masked_row(
-                    &mut row,
+                    &mut scratch,
                     g,
                     w,
                     kc.mask,
@@ -1337,8 +1360,10 @@ fn walk_warp(
                     lanes.row_len[l],
                 );
                 ctx.bind_stream(lanes.rng[l].clone());
-                let picked =
-                    sampler.sample_warp(ctx, &NeighborView::from_row(&row, bytes_per_weight));
+                let picked = sampler.sample_warp(
+                    ctx,
+                    &NeighborView::from_row(&scratch.weights, bytes_per_weight),
+                );
                 lanes.rng[l] = ctx.unbind_stream();
                 out.tallies[idx] += 1;
                 advance_lane(&mut lanes, l, picked, g, kc.record_paths, &mut out);
@@ -1348,17 +1373,18 @@ fn walk_warp(
     out
 }
 
-/// Replaces `row` with the lane's transition weights, masked edges zeroed.
-/// Every warp-granular step reads its weights from here — scan kernels
-/// touch the whole row anyway, so an unmasked row is one
+/// Replaces `scratch.weights` with the lane's transition weights, masked
+/// edges zeroed. Every warp-granular step reads its weights from here —
+/// scan kernels touch the whole row anyway, so an unmasked row is one
 /// [`DynamicWalk::fill_row`] pass that lets a walker share work across
-/// edges (second-order walkers intersect two sorted rows instead of
-/// binary-searching per edge). Under a time window the row is filled edge
-/// by edge instead, so edges the mask hides are never evaluated — a
-/// window typically hides a large share of a row, and the temporal
-/// walkers' decay is the costly part of their weight.
+/// edges (second-order walkers mark `prev`'s row in the scratch's
+/// [`LinkSet`](crate::LinkSet) instead of binary-searching per edge).
+/// Under a time window the row is filled edge by edge instead, so edges
+/// the mask hides are never evaluated — a window typically hides a large
+/// share of a row, and the temporal walkers' decay is the costly part of
+/// their weight.
 fn fill_masked_row(
-    row: &mut Vec<f32>,
+    scratch: &mut RowScratch,
     g: &Csr,
     w: &dyn DynamicWalk,
     mask: Option<&flexi_graph::TimeMask>,
@@ -1368,10 +1394,10 @@ fn fill_masked_row(
 ) {
     let range = row_start..row_start + row_len;
     match mask {
-        None => w.fill_row(g, state, range, row),
+        None => w.fill_row(g, state, range, scratch),
         Some(m) => {
-            row.clear();
-            row.extend(range.map(|e| {
+            scratch.weights.clear();
+            scratch.weights.extend(range.map(|e| {
                 if m.admits(e) {
                     w.weight(g, state, e)
                 } else {
@@ -1539,8 +1565,8 @@ fn select_sampler(
 /// any; the bound still charges its aggregate read either way, so reusing
 /// it leaves the simulated clock unchanged. `row_start`, `row_len` and
 /// `bytes_per_weight` are the kernel's hoisted invariants, reused by the
-/// no-estimator fallback's exact max reduction, which reads the warp's
-/// scratch `row`.
+/// no-estimator fallback's exact max reduction, which fills the warp's
+/// `scratch`.
 #[allow(clippy::too_many_arguments)]
 fn rjs_bound(
     ctx: &mut WarpCtx,
@@ -1553,7 +1579,7 @@ fn rjs_bound(
     row_start: EdgeId,
     row_len: usize,
     bytes_per_weight: usize,
-    row: &mut Vec<f32>,
+    scratch: &mut RowScratch,
 ) -> Option<f32> {
     // Float-safety headroom: the estimator math is f64 while kernel weights
     // are f32; a hair of slack keeps "bound >= max" airtight.
@@ -1582,8 +1608,11 @@ fn rjs_bound(
     // No estimator: pay the exact max reduction (NextDoor's cost). Masked
     // edges weigh 0 in the kernel, so the reduction can mask them too and
     // stay a tight, sound bound.
-    fill_masked_row(row, g, w, kc.mask, state, row_start, row_len);
-    let m = warp_max_reduce(ctx, &NeighborView::from_row(row, bytes_per_weight));
+    fill_masked_row(scratch, g, w, kc.mask, state, row_start, row_len);
+    let m = warp_max_reduce(
+        ctx,
+        &NeighborView::from_row(&scratch.weights, bytes_per_weight),
+    );
     (m > 0.0).then_some(m)
 }
 
@@ -1621,65 +1650,112 @@ mod tests {
         )
     }
 
+    /// 1 000 nodes: hub 0 points at every node, carries a self-loop and a
+    /// duplicate target; nodes 1..=64 each hold a self-loop, a duplicate,
+    /// an edge back to the hub and a scattered target; the rest are sinks.
+    fn loops_and_hub_graph() -> Csr {
+        let mut b = CsrBuilder::new(1000);
+        for v in 0..1000u32 {
+            b.push_weighted(0, v, 1.0 + (v % 7) as f32);
+        }
+        b.push_weighted(0, 5, 0.25);
+        for v in 1..=64u32 {
+            for (t, wgt) in [
+                (v, 2.0),
+                (0, 3.0),
+                (v + 1, 0.5),
+                (v + 1, 4.0),
+                (v * 37 % 1000, 1.5),
+            ] {
+                b.push_weighted(v, t, wgt);
+            }
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn filled_rows_are_bit_identical_to_per_edge_weights() {
-        // Every built-in walker, native and DSL twin, on rmat rows: the
-        // filled (and masked) row must equal lazy per-edge evaluation bit
-        // for bit — warp-granular steps read the one, rejection the other.
-        let g = props::assign_uniform_labels(small_graph(), 5, 3);
-        let times: Vec<u64> = (0..g.num_edges() as u64).map(|e| e * 37 % 100).collect();
-        let g = g.with_times(times).unwrap();
-        let n = g.num_nodes() as NodeId;
-        let hub = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
-        let sink = (0..n)
-            .find(|&v| g.degree(v) == 0)
-            .expect("rmat leaves sinks");
-        // The cases the intersection must get right are present: a hub
-        // long enough for the binary-search branch, and duplicate targets.
-        let thin = (0..n)
-            .filter(|&v| g.degree(v) > 0)
-            .min_by_key(|&v| g.degree(v));
-        assert!(g.degree(hub) > 2 * g.degree(thin.unwrap()));
-        assert!((0..n).any(|v| g.neighbors(v).windows(2).any(|p| p[0] == p[1])));
-        let mask = flexi_graph::TimeMask::compute(&g, TimeWindow::new(20, 70));
-
+        // Every built-in walker, native and DSL twin, on rmat rows and on a
+        // graph with self-loops, each under F32, Int8 and unweighted props:
+        // the filled (and masked) row — whole, or a sub-range of it — must
+        // equal lazy per-edge evaluation bit for bit. Warp-granular steps
+        // read the one, rejection the other. One scratch serves graphs of
+        // 256 and 1 000 nodes, and its link set is all-zero after each fill.
+        let mut graphs = Vec::new();
+        for base in [small_graph(), loops_and_hub_graph()] {
+            let base = props::assign_uniform_labels(base, 5, 3);
+            let times: Vec<u64> = (0..base.num_edges() as u64).map(|e| e * 37 % 100).collect();
+            let base = base.with_times(times).unwrap();
+            let f32_props = base.props().clone();
+            for p in [
+                f32_props.quantize_int8(),
+                flexi_graph::EdgeProps::Unweighted,
+                f32_props,
+            ] {
+                graphs.push(base.clone().with_props(p).unwrap());
+            }
+        }
         let walkers: Vec<CompiledWalker> =
             [WalkerRegistry::builtin(), WalkerRegistry::builtin_dsl()]
                 .iter()
                 .flat_map(|r| r.iter().map(|d| d.lower().unwrap()).collect::<Vec<_>>())
                 .collect();
-        let mut row = Vec::new();
-        for cw in &walkers {
-            let w = cw.walk_dyn();
-            for cur in (0..n).step_by(7).chain([hub]).filter(|&v| g.degree(v) > 0) {
-                let range = g.edge_range(cur);
-                let first_target = g.edge_target(range.start);
-                let prevs = [None, Some(hub), Some(sink), Some(first_target), Some(cur)];
-                for (prev, step, mask) in prevs
-                    .into_iter()
-                    .flat_map(|p| [(p, 1, None), (p, 2, Some(&mask))])
-                {
-                    let st = WalkState {
-                        cur,
-                        prev,
-                        step,
-                        time: 30,
-                    };
-                    fill_masked_row(&mut row, &g, w, mask, &st, range.start, range.len());
-                    let filled: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
-                    let lazy: Vec<u32> =
-                        with_row_view(&g, w, mask, &st, range.start, range.len(), 8, |v| {
-                            (0..v.deg).map(|i| v.weight(i).to_bits()).collect()
-                        });
-                    assert_eq!(
-                        filled,
-                        lazy,
-                        "{}: cur {cur} prev {prev:?} masked {}",
-                        cw.name(),
-                        mask.is_some()
-                    );
+        let mut scratch = RowScratch::default();
+        for g in &graphs {
+            let n = g.num_nodes() as NodeId;
+            let hub = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
+            let sink = (0..n).find(|&v| g.degree(v) == 0).expect("graph has sinks");
+            assert!((0..n).any(|v| g.neighbors(v).windows(2).any(|p| p[0] == p[1])));
+            let mask = flexi_graph::TimeMask::compute(g, TimeWindow::new(20, 70));
+            // Rows on both sides of the search/mark crossover.
+            let (mut searched, mut marked) = (false, false);
+            for cw in &walkers {
+                let w = cw.walk_dyn();
+                for cur in (0..n).step_by(7).chain([hub]).filter(|&v| g.degree(v) > 0) {
+                    let full = g.edge_range(cur);
+                    let mid = full.start + full.len() / 2;
+                    let first_target = g.edge_target(full.start);
+                    let prevs = [None, Some(hub), Some(sink), Some(first_target), Some(cur)];
+                    for range in [full.clone(), mid..full.end, full.start..mid] {
+                        for (prev, step, mask) in prevs
+                            .into_iter()
+                            .flat_map(|p| [(p, 1, None), (p, 2, Some(&mask))])
+                        {
+                            if let Some(p) = prev.filter(|_| !range.is_empty()) {
+                                if g.degree(p) > crate::workload::SEARCH_CROSSOVER * range.len() {
+                                    searched = true;
+                                } else {
+                                    marked = true;
+                                }
+                            }
+                            let st = WalkState {
+                                cur,
+                                prev,
+                                step,
+                                time: 30,
+                            };
+                            let (start, len) = (range.start, range.len());
+                            fill_masked_row(&mut scratch, g, w, mask, &st, start, len);
+                            assert!(scratch.links.is_clear(), "{}: set left dirty", cw.name());
+                            let filled: Vec<u32> =
+                                scratch.weights.iter().map(|x| x.to_bits()).collect();
+                            let lazy: Vec<u32> =
+                                with_row_view(g, w, mask, &st, start, len, 8, |v| {
+                                    (0..v.deg).map(|i| v.weight(i).to_bits()).collect()
+                                });
+                            assert_eq!(
+                                filled,
+                                lazy,
+                                "{}: cur {cur} prev {prev:?} edges {range:?} masked {} props {:?}",
+                                cw.name(),
+                                mask.is_some(),
+                                g.props().bytes_per_weight()
+                            );
+                        }
+                    }
                 }
             }
+            assert!(searched && marked, "both crossover branches ran");
         }
     }
 
@@ -1705,11 +1781,11 @@ mod tests {
                 g: &Csr,
                 _st: &WalkState,
                 range: std::ops::Range<EdgeId>,
-                out: &mut Vec<f32>,
+                scratch: &mut RowScratch,
             ) {
                 self.fills.fetch_add(1, Ordering::Relaxed);
-                out.clear();
-                out.extend(range.map(|e| g.prop(e)));
+                scratch.weights.clear();
+                scratch.weights.extend(range.map(|e| g.prop(e)));
             }
             fn spec(&self) -> flexi_compiler::WalkSpec {
                 UniformWalk.spec()

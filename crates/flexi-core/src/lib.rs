@@ -76,6 +76,6 @@ pub use flexi_sampling::{
     ids as sampler_ids, NodeState, Sampler, SamplerId, SamplerRegistry, StateTable,
 };
 pub use workload::{
-    static_max_bound, DynamicWalk, MetaPath, Node2Vec, SecondOrderPr, TemporalExp, TemporalLinear,
-    TemporalUniform, UniformWalk, WalkState,
+    static_max_bound, DynamicWalk, LinkSet, MetaPath, Node2Vec, RowScratch, SecondOrderPr,
+    TemporalExp, TemporalLinear, TemporalUniform, UniformWalk, WalkState,
 };

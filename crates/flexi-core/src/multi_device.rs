@@ -66,22 +66,20 @@ impl MultiDeviceEngine {
 
     /// Splits queries by the configured policy; returns per-device batches.
     pub fn partition(&self, queries: &[NodeId]) -> Vec<Vec<NodeId>> {
-        let d = self.num_devices;
-        let mut parts = vec![Vec::new(); d];
-        match self.partitioning {
-            Partitioning::Hash => {
-                for &q in queries {
-                    parts[shard_of(q, d)].push(q);
-                }
-            }
-            Partitioning::Range => {
-                let chunk = queries.len().div_ceil(d).max(1);
-                for (i, &q) in queries.iter().enumerate() {
-                    parts[(i / chunk).min(d - 1)].push(q);
-                }
-            }
+        let mut parts = vec![Vec::new(); self.num_devices];
+        for (i, &q) in queries.iter().enumerate() {
+            parts[self.device_of(i, q, queries.len())].push(q);
         }
         parts
+    }
+
+    /// The device query `i` (starting at `q`, of `n`) is mapped to.
+    fn device_of(&self, i: usize, q: NodeId, n: usize) -> usize {
+        let d = self.num_devices;
+        match self.partitioning {
+            Partitioning::Hash => shard_of(q, d),
+            Partitioning::Range => (i / n.div_ceil(d).max(1)).min(d - 1),
+        }
     }
 }
 
@@ -139,14 +137,19 @@ impl WalkEngine for MultiDeviceEngine {
             let engine = FlexiWalkerEngine::with_strategy(self.spec.clone(), self.strategy);
             let mut dev_cfg = cfg.clone();
             dev_cfg.seed = cfg.seed.wrapping_add(d as u64).wrapping_mul(0x9E37) ^ cfg.seed;
-            let dev_req = WalkRequest::new(&req.graph, req.walker.clone(), part.as_slice())
-                .with_config(dev_cfg);
+            let dev_req = WalkRequest {
+                window: req.window,
+                ..WalkRequest::new(&req.graph, req.walker.clone(), part.as_slice())
+                    .with_config(dev_cfg)
+            };
             let prepared = engine.prepare(&snap.graph, &walker, dev_req.config.seed);
             engine.run_on(&snap, &dev_req, &prepared)
         });
         let mut per_device_steps = Vec::with_capacity(self.num_devices);
+        let mut device_paths = Vec::with_capacity(self.num_devices);
         for launch in launches.results {
-            let report = launch?;
+            let mut report = launch?;
+            device_paths.push(report.paths.take().map(Vec::into_iter));
             saturated_max = saturated_max.max(report.saturated_seconds);
             device_seconds.push(report.sim_seconds);
             per_device_steps.push(report.steps_taken);
@@ -157,6 +160,23 @@ impl WalkEngine for MultiDeviceEngine {
             merged.sampler_state_hits += report.sampler_state_hits;
             merged.profile_seconds = merged.profile_seconds.max(report.profile_seconds);
             merged.preprocess_seconds = merged.preprocess_seconds.max(report.preprocess_seconds);
+        }
+        // Each device's paths come back in its batch's order; deal them
+        // back into query order.
+        if cfg.record_paths {
+            let n = req.queries.len();
+            merged.paths = Some(
+                req.queries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &q)| {
+                        device_paths[self.device_of(i, q, n)]
+                            .as_mut()
+                            .and_then(Iterator::next)
+                            .expect("a device reports one path per query it ran")
+                    })
+                    .collect(),
+            );
         }
         // Devices run concurrently: ensemble time is the slowest device.
         merged.sim_seconds = device_seconds.iter().copied().fold(0.0, f64::max);

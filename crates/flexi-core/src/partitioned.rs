@@ -16,7 +16,7 @@
 //! duplicated-graph mode.
 
 use crate::engine::{EngineError, RunReport, SamplerTally, ShardStats, WalkEngine, WalkRequest};
-use crate::workload::WalkState;
+use crate::workload::{RowScratch, WalkState};
 use flexi_gpu_sim::{CostStats, DeviceSpec};
 use flexi_graph::{shard_of, Csr, NodeId, PartitionPlan};
 use flexi_rng::{RandomSource, Xoshiro256pp};
@@ -67,6 +67,8 @@ impl WalkEngine for PartitionedEngine {
     }
 
     fn run(&self, req: &WalkRequest) -> Result<RunReport, EngineError> {
+        // The scalar step loop below neither masks nor moves a walk clock.
+        req.require_untimed()?;
         let snap = req.snapshot();
         let g: &Csr = &snap.graph;
         let w = req.walker.get()?.walk_dyn();
@@ -92,7 +94,7 @@ impl WalkEngine for PartitionedEngine {
         let mut migrations = 0u64;
         let mut steps_taken = 0u64;
         let mut paths = cfg.record_paths.then(|| vec![Vec::new(); queries.len()]);
-        let mut weights = Vec::new();
+        let mut scratch = RowScratch::default();
 
         for (qi, &start) in queries.iter().enumerate() {
             let mut rng = Xoshiro256pp::new(cfg.seed ^ 0xA11C).nth_jump(qi % 64);
@@ -111,14 +113,15 @@ impl WalkEngine for PartitionedEngine {
                 let owner = self.owner(st.cur);
                 // The owning device scans the partition-resident adjacency
                 // (eRVS access pattern) and reduces.
-                w.fill_row(g, &st, range.clone(), &mut weights);
+                w.fill_row(g, &st, range.clone(), &mut scratch);
+                let weights = &scratch.weights;
                 let stats = &mut device_stats[owner];
                 stats.coalesced_transactions += ((weights.len() * bytes_per_weight)
                     .div_ceil(self.spec.transaction_bytes))
                     as u64;
                 stats.alu_ops += weights.len() as u64;
                 stats.shuffle_ops += 5;
-                let (picked, cost) = sample_ervs_jump(&weights, &mut rng);
+                let (picked, cost) = sample_ervs_jump(weights, &mut rng);
                 stats.rng_draws += cost.rng_draws;
                 let Some(i) = picked else { break };
                 let next = g.neighbor(st.cur, i);

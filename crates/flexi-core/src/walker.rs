@@ -255,6 +255,8 @@ impl WalkerDef {
                     second_order: refs.as_ref().is_none_or(RefInfo::second_order),
                     // No parse ⇒ no proof the weights ignore walk state.
                     static_weights: refs.as_ref().is_some_and(weights_are_static),
+                    // No parse ⇒ no proof the walk ignores time.
+                    reads_time: refs.as_ref().is_none_or(RefInfo::reads_time),
                     spec,
                     artifacts,
                     walk: Arc::clone(walk),
@@ -292,6 +294,7 @@ impl WalkerDef {
                     needs_labels: refs.arrays.contains("label"),
                     second_order: refs.second_order(),
                     static_weights: weights_are_static(&refs),
+                    reads_time: refs.reads_time(),
                     spec,
                     artifacts,
                     walk,
@@ -483,6 +486,7 @@ pub struct CompiledWalker {
     needs_labels: bool,
     second_order: bool,
     static_weights: bool,
+    reads_time: bool,
 }
 
 impl CompiledWalker {
@@ -544,6 +548,13 @@ impl CompiledWalker {
     pub fn static_weights(&self) -> bool {
         self.static_weights
     }
+
+    /// Whether the transition program reads an edge timestamp or the walk
+    /// clock (`edge_time` / `walk_time`). Only an engine that advances the
+    /// clock along each traversed edge walks such a walker correctly.
+    pub fn reads_time(&self) -> bool {
+        self.reads_time
+    }
 }
 
 impl std::fmt::Debug for CompiledWalker {
@@ -556,6 +567,7 @@ impl std::fmt::Debug for CompiledWalker {
             .field("needs_labels", &self.needs_labels)
             .field("second_order", &self.second_order)
             .field("static_weights", &self.static_weights)
+            .field("reads_time", &self.reads_time)
             .finish()
     }
 }
@@ -1160,6 +1172,24 @@ mod tests {
             .lower()
             .unwrap();
         assert!(!mp.static_weights());
+    }
+
+    #[test]
+    fn time_analysis_flags_timestamp_and_clock_readers() {
+        for def in [
+            WalkerDef::native("t", TemporalExp::paper()),
+            WalkerDef::dsl("clock", "get_weight(edge) { return h[edge] * walk_time; }"),
+            WalkerDef::dsl("stamp", "get_weight(edge) { return edge_time; }"),
+        ] {
+            assert!(def.lower().unwrap().reads_time(), "{}", def.name());
+        }
+        for def in [
+            WalkerDef::native("node2vec", Node2Vec::paper(true)),
+            WalkerDef::native("metapath", MetaPath::paper(true)),
+            WalkerDef::dsl("h", "get_weight(edge) { return h[edge]; }"),
+        ] {
+            assert!(!def.lower().unwrap().reads_time(), "{}", def.name());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! engine actually runs.
 
 use flexi_compiler::{workloads as dsl, WalkSpec};
-use flexi_graph::{Csr, EdgeId, NodeId};
+use flexi_graph::{Csr, EdgeId, EdgeProps, NodeId};
 use std::ops::Range;
 
 /// Per-walker state a dynamic walk's weight function may consult.
@@ -80,19 +80,20 @@ pub trait DynamicWalk: Send + Sync {
     /// `edge` is a global edge id inside `g.edge_range(st.cur)`.
     fn weight(&self, g: &Csr, st: &WalkState, edge: EdgeId) -> f32;
 
-    /// Replaces `out` with the weights of every edge in `range` (a
-    /// sub-range of `g.edge_range(st.cur)`), in edge order.
+    /// Replaces `scratch.weights` with the weights of every edge in `range`
+    /// (a sub-range of `g.edge_range(st.cur)`), in edge order.
     ///
     /// The engine calls this once per warp-granular sampling step instead
-    /// of [`DynamicWalk::weight`] once per edge. The default loops
-    /// `weight`; an override may share work across the row (one sorted
-    /// merge instead of a membership search per edge) but must produce
-    /// **bit-identical** values — the same f32 operations in the same
-    /// order — because lane-granular samplers still call `weight` on the
-    /// same edges and a walk switches between the two per step.
-    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend(range.map(|e| self.weight(g, st, e)));
+    /// of [`DynamicWalk::weight`] once per edge. The default loops `weight`
+    /// and ignores `scratch.links`; an override may share work across the
+    /// row (marking `prev`'s row in the [`LinkSet`] once instead of a
+    /// membership search per edge) but must produce **bit-identical**
+    /// values — the same f32 operations in the same order — because
+    /// lane-granular samplers still call `weight` on the same edges and a
+    /// walk switches between the two per step.
+    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, scratch: &mut RowScratch) {
+        scratch.weights.clear();
+        scratch.weights.extend(range.map(|e| self.weight(g, st, e)));
     }
 
     /// DRAM bytes one weight evaluation touches (drives the simulator's
@@ -150,29 +151,21 @@ impl Node2Vec {
         }
     }
 
-    /// Eq. 2 for one out-edge of the current node; `linked(prev, post)`
-    /// answers `dist(prev, post) == 1` and is asked only when `post` is
-    /// neither the first-step case nor `prev` itself.
+    /// Eq. 2 for an out-edge of property weight `h` whose target is `prev`
+    /// itself (`is_prev`) or lies at `dist(prev, post) == 1` (`linked`):
+    /// `h / a`, `h` or `h / b`. The middle case divides by 1, which is
+    /// exact, so every case is one f32 division by a selected divisor and
+    /// a row fill needs no branch.
     #[inline]
-    fn eq2(
-        &self,
-        g: &Csr,
-        edge: EdgeId,
-        prev: Option<NodeId>,
-        linked: impl FnOnce(NodeId, NodeId) -> bool,
-    ) -> f32 {
-        let h = if self.weighted { g.prop(edge) } else { 1.0 };
-        let Some(prev) = prev else {
-            return h; // First step: no history, behave statically.
-        };
-        let post = g.edge_target(edge);
-        if post == prev {
-            h / self.a
-        } else if linked(prev, post) {
-            h
+    fn eq2(&self, h: f32, is_prev: bool, linked: bool) -> f32 {
+        let divisor = if is_prev {
+            self.a
+        } else if linked {
+            1.0
         } else {
-            h / self.b
-        }
+            self.b
+        };
+        h / divisor
     }
 }
 
@@ -186,13 +179,23 @@ impl DynamicWalk for Node2Vec {
     }
 
     fn weight(&self, g: &Csr, st: &WalkState, edge: EdgeId) -> f32 {
-        self.eq2(g, edge, st.prev, |prev, post| g.has_edge(prev, post))
+        let h = if self.weighted { g.prop(edge) } else { 1.0 };
+        let Some(prev) = st.prev else {
+            return h; // First step: no history, behave statically.
+        };
+        let post = g.edge_target(edge);
+        self.eq2(h, post == prev, post != prev && g.has_edge(prev, post))
     }
 
-    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, out: &mut Vec<f32>) {
-        let mut linked = SortedProbe::new(st.prev.map_or(&[][..], |p| g.neighbors(p)), range.len());
-        out.clear();
-        out.extend(range.map(|e| self.eq2(g, e, st.prev, |_, post| linked.contains(post))));
+    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, scratch: &mut RowScratch) {
+        match st.prev {
+            None => fill_props(&mut scratch.weights, g, range, self.weighted, |h, _| h),
+            Some(prev) => {
+                fill_second_order(g, prev, range, self.weighted, scratch, |h, post, linked| {
+                    self.eq2(h, post == prev, linked)
+                })
+            }
+        }
     }
 
     fn bytes_per_weight(&self, g: &Csr) -> usize {
@@ -355,22 +358,15 @@ impl DynamicWalk for SecondOrderPr {
         w * h
     }
 
-    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, out: &mut Vec<f32>) {
-        out.clear();
+    fn fill_row(&self, g: &Csr, st: &WalkState, range: Range<EdgeId>, scratch: &mut RowScratch) {
         let Some(prev) = st.prev else {
-            out.extend(range.map(|e| g.prop(e)));
-            return;
+            return fill_props(&mut scratch.weights, g, range, true, |h, _| h);
         };
         let (linked_w, unlinked_w) = self.eq3_biases(g, st.cur, prev);
-        let mut linked = SortedProbe::new(g.neighbors(prev), range.len());
-        out.extend(range.map(|e| {
-            let w = if linked.contains(g.edge_target(e)) {
-                linked_w
-            } else {
-                unlinked_w
-            };
-            w * g.prop(e)
-        }));
+        fill_second_order(g, prev, range, true, scratch, |h, _, linked| {
+            let w = if linked { linked_w } else { unlinked_w };
+            w * h
+        });
     }
 
     fn bytes_per_weight(&self, g: &Csr) -> usize {
@@ -388,45 +384,128 @@ impl DynamicWalk for SecondOrderPr {
     }
 }
 
-/// Answers `row.contains(t)` for a **non-decreasing** sequence of queries
-/// `t` against the sorted `row` — how a second-order walker intersects
-/// `cur`'s sorted targets with `prev`'s row, instead of binary-searching
-/// all of `prev`'s row once per edge.
-///
-/// Rows of similar length are merged: the cursor only moves forward, so a
-/// whole row of `queries` targets costs O(d_cur + d_prev). When `row` is
-/// more than twice as long as the number of queries (a hub `prev`), each
-/// query binary-searches it instead: independent searches overlap in the
-/// CPU where a merge would step through mostly unasked-for entries. Duplicates on either side are
-/// fine: the cursor stops at the first entry `≥ t`.
-struct SortedProbe<'a> {
-    row: &'a [NodeId],
-    /// Binary-search each query instead of stepping the cursor.
-    sparse: bool,
-    /// Every `row[..pos]` is below the last query.
-    pos: usize,
+/// Scratch memory for [`DynamicWalk::fill_row`]: the filled weights and
+/// the [`LinkSet`] a second-order walker marks `prev`'s row in. The caller
+/// owns one per warp (or per scalar loop) and reuses it for every row, so
+/// a fill allocates nothing once both have grown to size.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    /// The last filled row, in edge order.
+    pub weights: Vec<f32>,
+    /// All-zero between fills; see [`LinkSet::with_row`].
+    pub links: LinkSet,
 }
 
-impl<'a> SortedProbe<'a> {
-    /// A probe for up to `queries` queries.
-    fn new(row: &'a [NodeId], queries: usize) -> Self {
-        Self {
-            row,
-            sparse: row.len() > 2 * queries,
-            pos: 0,
+/// A bitset over node ids answering `dist(prev, t) == 1` for every target
+/// `t` of a row: [`LinkSet::with_row`] sets one bit per entry of `prev`'s
+/// row, each query is one load and one bit test with no data-dependent
+/// branch, and the same words are zeroed afterwards. The set is all-zero
+/// between calls and grows lazily to `num_nodes / 8` bytes.
+#[derive(Debug, Default)]
+pub struct LinkSet {
+    words: Vec<u64>,
+}
+
+impl LinkSet {
+    /// Runs `body` with the out-neighbours of `prev` in `g` marked, then
+    /// clears them. Duplicate entries mark (and clear) the same bit. If
+    /// `body` panics the marks stay, so a set must not outlive the unwind.
+    pub fn with_row<R>(&mut self, g: &Csr, prev: NodeId, body: impl FnOnce(&Self) -> R) -> R {
+        let words = g.num_nodes().div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
         }
+        let row = g.neighbors(prev);
+        for &v in row {
+            self.words[v as usize / 64] |= 1 << (v % 64);
+        }
+        let out = body(self);
+        // Only marked bits are set, so zeroing their whole words restores
+        // the all-zero state without a read-modify-write.
+        for &v in row {
+            self.words[v as usize / 64] = 0;
+        }
+        out
     }
 
+    /// Whether `v` is marked.
     #[inline]
-    fn contains(&mut self, t: NodeId) -> bool {
-        let row = self.row;
-        if self.sparse {
-            return row.binary_search(&t).is_ok();
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.words
+            .get(v as usize / 64)
+            .is_some_and(|w| (w >> (v % 64)) & 1 != 0)
+    }
+
+    /// Whether no bit is set (the state every call leaves behind).
+    #[cfg(test)]
+    pub(crate) fn is_clear(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// `prev`'s row is searched, not marked, when it is more than this many
+/// times longer than the row being filled: marking and clearing cost two
+/// stores per `prev` entry, against `log2(d_prev)` mostly mispredicted
+/// steps per target for a binary search.
+///
+/// Chosen from per-row timings of both strategies over 21.6 k
+/// `(cur, prev)` steps of node2vec walks on the corpus-skew graph
+/// (rmat(15), 2^19 edges, Pareto weights; Xeon VM): 55.1 ms marking every
+/// row, 39.4 ms with the crossover at 4×, 8× or 16×, 41.3 ms at 32× and
+/// 50.5 ms searching every row, against 38.6 ms for the cheaper strategy
+/// row by row. With flat weights 4× was best again (46.0 ms; 46.7 ms at
+/// 16×). Rows past 16× cost 3–25 µs to mark and 0.1–1.2 µs to search.
+pub(crate) const SEARCH_CROSSOVER: usize = 4;
+
+/// Fills `scratch.weights` with `f(h, post, linked)` for every edge of
+/// `range`, where `linked` answers `dist(prev, post) == 1`: through the
+/// [`LinkSet`], or by one binary search per target when `prev`'s row is
+/// past [`SEARCH_CROSSOVER`].
+#[inline]
+fn fill_second_order(
+    g: &Csr,
+    prev: NodeId,
+    range: Range<EdgeId>,
+    weighted: bool,
+    scratch: &mut RowScratch,
+    f: impl Fn(f32, NodeId, bool) -> f32,
+) {
+    let RowScratch { weights, links } = scratch;
+    let prev_row = g.neighbors(prev);
+    if prev_row.len() > SEARCH_CROSSOVER * range.len() {
+        fill_props(weights, g, range, weighted, |h, post| {
+            f(h, post, prev_row.binary_search(&post).is_ok())
+        });
+    } else {
+        links.with_row(g, prev, |set| {
+            fill_props(weights, g, range, weighted, |h, post| {
+                f(h, post, set.contains(post))
+            });
+        });
+    }
+}
+
+/// Replaces `out` with `f(h, post)` for every edge of `range`, where `h` is
+/// the edge's property weight (1 when `weighted` is false) and `post` its
+/// target. The [`EdgeProps`] kind is resolved once per row: `F32` weights
+/// stream as a slice beside the targets; other kinds read `g.prop(e)`,
+/// which yields the same value.
+#[inline]
+fn fill_props(
+    out: &mut Vec<f32>,
+    g: &Csr,
+    range: Range<EdgeId>,
+    weighted: bool,
+    f: impl Fn(f32, NodeId) -> f32,
+) {
+    let targets = &g.col_idx()[range.clone()];
+    out.clear();
+    match g.props() {
+        EdgeProps::F32(w) if weighted => {
+            out.extend(w[range].iter().zip(targets).map(|(&h, &post)| f(h, post)));
         }
-        while self.pos < row.len() && row[self.pos] < t {
-            self.pos += 1;
-        }
-        row.get(self.pos) == Some(&t)
+        _ if weighted => out.extend(range.zip(targets).map(|(e, &post)| f(g.prop(e), post))),
+        _ => out.extend(targets.iter().map(|&post| f(1.0, post))),
     }
 }
 

@@ -438,13 +438,22 @@ fn ervs(
     match mode {
         ErvsMode::ExpJump if k_g > f64::NEG_INFINITY => {
             // Per-lane A-ExpJ over the stripe, seeded at the global max.
+            // Every lane seeds at the same `k_g`, so its log is taken once.
+            let ln_kg = k_g.ln();
             for lane in 0..active {
+                // The seed draw moves the lane's stream even when its
+                // stripe past the first key is empty.
+                let u = open01_lane(ctx, lane);
+                if lane + WARP_SIZE >= n {
+                    continue;
+                }
                 let mut k_cur = k_g;
-                let mut x_w = open01_lane(ctx, lane).ln() / k_cur.ln();
+                let mut x_w = u.ln() / ln_kg;
+                // One ALU op per stripe entry, charged once per stripe.
+                ctx.alu((n - lane).div_ceil(WARP_SIZE) as u64 - 1);
                 let mut i = lane + WARP_SIZE;
                 while i < n {
                     let w = f64::from(weight(i).max(0.0));
-                    ctx.alu(1);
                     if w > 0.0 {
                         if x_w <= w {
                             // Record update with a truncated redraw.
@@ -699,6 +708,26 @@ mod tests {
             ctx_ervs.stats().coalesced_transactions,
             ctx_rvs.stats().coalesced_transactions
         );
+    }
+
+    #[test]
+    fn ervs_jump_charges_one_alu_op_per_entry_past_the_first_stripe() {
+        // The jump scan is the kernel's only ALU charge: one op per
+        // neighbour after the first 32, dead weights included.
+        for n in [1usize, 31, 32, 33, 70, 1024] {
+            let weights: Vec<f32> = (0..n).map(|i| (i % 5) as f32).collect();
+            let mut ctx = WarpCtx::new(0, 5);
+            warp_ervs(
+                &mut ctx,
+                &NeighborView::from_row(&weights, 8),
+                ErvsMode::ExpJump,
+            );
+            assert_eq!(
+                ctx.stats().alu_ops,
+                n.saturating_sub(WARP_SIZE) as u64,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@ use flexiwalker::baselines::{
     CSawGpu, CpuSpec, FlowWalkerGpu, KnightKingCpu, NextDoorGpu, SkywalkerGpu, SoWalkerCpu,
     ThunderRwCpu,
 };
+use flexiwalker::core::multi_device::MultiDeviceEngine;
+use flexiwalker::core::partitioned::PartitionedEngine;
 use flexiwalker::prelude::*;
 use flexiwalker::sampling::stat;
 
@@ -222,5 +224,85 @@ fn flexiwalker_beats_gpu_baselines_on_weighted_workloads() {
             engine.name(),
             r.saturated_seconds
         );
+    }
+}
+
+#[test]
+fn every_engine_honours_time_windows_and_the_walk_clock_or_refuses() {
+    // rmat(9) with duplicate (u, v) pairs dropped, so each hop names one
+    // edge and its timestamp; times spread over [0, 100).
+    let base = test_graph();
+    let mut b = CsrBuilder::new(base.num_nodes());
+    for u in 0..base.num_nodes() as NodeId {
+        let mut last = None;
+        for e in base.edge_range(u) {
+            let v = base.edge_target(e);
+            if last != Some(v) {
+                b.push_timestamped(u, v, base.prop(e), (e as u64 * 7919) % 100);
+                last = Some(v);
+            }
+        }
+    }
+    let g = b.build().unwrap();
+    let spec = DeviceSpec::a6000();
+    let engines: Vec<Box<dyn WalkEngine>> = all_engines()
+        .into_iter()
+        .chain([
+            Box::new(MultiDeviceEngine::new(spec.clone(), 2)) as Box<dyn WalkEngine>,
+            Box::new(PartitionedEngine::new(spec, 2)),
+        ])
+        .collect();
+    let queries: Vec<NodeId> = (0..64).collect();
+    let cfg = WalkConfig {
+        steps: 10,
+        record_paths: true,
+        ..WalkConfig::default()
+    };
+    let window = TimeWindow::new(20, 80);
+    let timed: std::sync::Arc<dyn DynamicWalk> = std::sync::Arc::new(TemporalUniform);
+    let untimed: std::sync::Arc<dyn DynamicWalk> = std::sync::Arc::new(UniformWalk);
+    for engine in &engines {
+        for (walker, reads_clock, window) in [
+            (&timed, true, Some(window)),
+            (&untimed, false, Some(window)),
+            (&timed, true, None),
+            (&untimed, false, None),
+        ] {
+            let mut req =
+                WalkRequest::new(g.clone(), walker.clone(), &queries[..]).with_config(cfg.clone());
+            if let Some(w) = window {
+                req = req.window(w);
+            }
+            let what = format!("{} / {} / {window:?}", engine.name(), walker.name());
+            let report = match engine.run(&req) {
+                Ok(r) => r,
+                Err(EngineError::Unsupported(_)) if window.is_some() || reads_clock => continue,
+                Err(e) => panic!("{what}: {e}"),
+            };
+            assert!(report.steps_taken > 0, "{what}: walked nothing");
+            let mut bad = 0;
+            for path in report
+                .paths
+                .as_ref()
+                .unwrap_or_else(|| panic!("{what}: no paths"))
+            {
+                let mut clock = window.map_or(0, |w| w.t0);
+                for hop in path.windows(2) {
+                    let e = g
+                        .edge_range(hop[0])
+                        .find(|&e| g.edge_target(e) == hop[1])
+                        .unwrap_or_else(|| panic!("{what}: non-edge {hop:?}"));
+                    let t = g.time(e);
+                    if window.is_some_and(|w| !w.contains(t)) || (reads_clock && t < clock) {
+                        bad += 1;
+                    }
+                    clock = t;
+                }
+            }
+            assert_eq!(
+                bad, 0,
+                "{what}: hops outside the window or behind the clock"
+            );
+        }
     }
 }
